@@ -22,12 +22,10 @@ from .dynamics import (
     ResolutionWarning,
     TimeGrid,
     Trajectory,
-    adjoint_rhs,
     solve_adjoint,
     solve_state,
-    state_rhs_advective,
 )
-from .grid import CircleGrid, Field, d2dtheta2, ddtheta, diffuse, integrate, random_bandlimited
+from .grid import CircleGrid, Field, ddtheta, integrate, random_bandlimited
 from .optimizer import (
     CostWeights,
     GradientCheckReport,
@@ -76,13 +74,10 @@ __all__ = [
     "ResolutionWarning",
     "TimeGrid",
     "Trajectory",
-    "adjoint_rhs",
     "bessel_ratio",
     "circular_moments",
     "cost",
-    "d2dtheta2",
     "ddtheta",
-    "diffuse",
     "gradient_check",
     "integrate",
     "interaction_field",
@@ -95,7 +90,6 @@ __all__ = [
     "simulate_particles",
     "solve_adjoint",
     "solve_state",
-    "state_rhs_advective",
     "stationary_density",
     "stationary_fixed_point",
     "sync_series",

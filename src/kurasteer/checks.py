@@ -146,7 +146,7 @@ def check_gradients(runcfg: RunConfig) -> list[dict]:
                 "passed": report.passed,
                 "min_rel_errors": [d.min_rel_error for d in report.directions],
                 "eps_at_min": [d.eps_at_min for d in report.directions],
-                "v_shaped": [d.v_shaped for d in report.directions],
+                "floor_rel_errors": [d.floor_rel_error for d in report.directions],
             }
         )
     return out

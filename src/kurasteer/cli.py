@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import run_all_checks
 from .config import RunConfig, load_config
-from .dynamics import CFLError, ControlSet, NumericsError, solve_state
+from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, solve_state
 from .optimizer import optimize, sync_series
 from .outputs import (
     tracking_error_series,
@@ -29,9 +29,7 @@ logger = logging.getLogger(__name__)
 FIELD_UNITS = {
     "state": "1/rad",
     "adjoint": "cost/density",
-    "u1": "rad/s",
-    "u2": "1",
-    "source": "1/(rad*s)",
+    **{name: spec.units for name, spec in CONTROLS.items()},
 }
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import CouplingParams
-from .dynamics import ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory
+from .dynamics import CONTROLS, ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory
 from .grid import CircleGrid, Field, random_bandlimited
 from .optimizer import CostWeights, OcpProblem, OptimizerConfig
 from .scenarios import DensitySpec
@@ -183,7 +183,6 @@ class RunConfig:
         """Optional initial-control files plus a seeded random perturbation."""
         ic = self.raw["initial_controls"]
         shape = (self.tgrid.n_t + 1, self.grid.n_theta)
-        baselines = {"u1": 0.0, "u2": self.params.K, "source": 0.0}
         arrays: dict[str, np.ndarray] = {}
         for name in self.mode.active_controls:
             file_key = f"{name}_file"
@@ -196,7 +195,7 @@ class RunConfig:
                     )
                 arrays[name] = arr.reshape(shape).astype(np.float64)
             else:
-                arrays[name] = np.full(shape, baselines[name])
+                arrays[name] = np.full(shape, CONTROLS[name].baseline(self.params))
         scale = float(ic.get("perturbation_scale") or 0.0)
         if scale > 0.0:
             rng = np.random.default_rng(self.seed)

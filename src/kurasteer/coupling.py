@@ -38,9 +38,11 @@ class PolarOrder:
     psi: float
 
 
-def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[float, float]:
+def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """First circular moments (integral of cos*v, integral of sin*v) of one
+    sample row, or of every row of a stacked (n_rows, n_theta) array."""
     d = grid.d_theta
-    return float(grid.cos_theta @ values) * d, float(grid.sin_theta @ values) * d
+    return values @ grid.cos_theta * d, values @ grid.sin_theta * d
 
 
 def circular_moments(q: Field) -> tuple[float, float]:
@@ -66,10 +68,14 @@ def interaction_values(grid: CircleGrid, values: FloatArray, alpha: float) -> Fl
 
     Equals the integral of sin(theta' - theta - alpha) against the sample;
     with moments (C_c, C_s) this is C_s*cos(theta+alpha) - C_c*sin(theta+alpha).
+    Accepts one row or a stack of rows, like moments_values.
     """
     c_c, c_s = moments_values(grid, values)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    return (c_s * ca - c_c * sa) * grid.cos_theta - (c_c * ca + c_s * sa) * grid.sin_theta
+    a, b = c_s * ca - c_c * sa, c_c * ca + c_s * sa
+    if values.ndim == 2:
+        a, b = a[:, None], b[:, None]
+    return a * grid.cos_theta - b * grid.sin_theta
 
 
 def interaction_adjoint_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:

@@ -22,11 +22,12 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .coupling import CouplingParams, interaction_adjoint_values, interaction_values
-from .grid import CircleGrid, Field, FloatArray, require_same_grid
+from .grid import CircleGrid, Field, FloatArray
 
 CFL_SAFETY = 0.5
 POSITIVITY_TOL = 1e-6
@@ -107,9 +108,6 @@ class Trajectory:
         """Replicate a static field across all time rows."""
         return cls(field.grid, tgrid, np.tile(field.values, (tgrid.n_t + 1, 1)))
 
-    def row(self, k: int) -> FloatArray:
-        return self.data[k]
-
     def field_at(self, k: int) -> Field:
         return Field(self.grid, self.data[k])
 
@@ -149,12 +147,46 @@ class ControlShape(str, Enum):
 
 
 @dataclass(frozen=True)
-class ControlSet:
-    """Control histories; missing entries take their baseline values.
+class ControlSpec:
+    """The facts of one control mechanism, written down only in CONTROLS."""
 
-    Baselines: u1 = 0, u2 = K (the uncontrolled interaction strength),
-    source = 0.
-    """
+    baseline: Callable[[CouplingParams], float]  # value of the uncontrolled dynamics
+    energy_weight: str  # CostWeights attribute weighting the control energy
+    advects: bool  # advecting controls share the CFL budget
+    units: str
+    # (grid, alpha, q, p, dp = d/dtheta p) -> the reduced gradient less its
+    # energy part beta * (u - offset), see CostWeights.penalty_offset
+    gradient_kernel: Callable[[CircleGrid, float, FloatArray, FloatArray, FloatArray], FloatArray]
+
+
+CONTROLS = {
+    "u1": ControlSpec(
+        baseline=lambda params: 0.0,
+        energy_weight="beta1",
+        advects=True,
+        units="rad/s",
+        gradient_kernel=lambda grid, alpha, q, p, dp: q * dp,
+    ),
+    "u2": ControlSpec(
+        baseline=lambda params: params.K,
+        energy_weight="beta2",
+        advects=True,
+        units="1",
+        gradient_kernel=lambda grid, alpha, q, p, dp: interaction_values(grid, q, alpha) * q * dp,
+    ),
+    "source": ControlSpec(
+        baseline=lambda params: 0.0,
+        energy_weight="beta_lin",
+        advects=False,
+        units="1/(rad*s)",
+        gradient_kernel=lambda grid, alpha, q, p, dp: p,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ControlSet:
+    """Control histories; missing entries take their baselines (see CONTROLS)."""
 
     u1: Trajectory | None = None
     u2: Trajectory | None = None
@@ -163,21 +195,22 @@ class ControlSet:
     def get(self, name: str) -> Trajectory | None:
         return getattr(self, name)
 
+    def array(
+        self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
+    ) -> FloatArray:
+        """Concrete (n_t+1, n_theta) history of one control."""
+        traj = self.get(name)
+        if traj is None:
+            return np.full((tgrid.n_t + 1, grid.n_theta), CONTROLS[name].baseline(params))
+        if traj.grid != grid or traj.tgrid != tgrid:
+            raise ValueError(f"control '{name}' is not on the solver grid")
+        return traj.data
+
     def resolve(
         self, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
     ) -> tuple[FloatArray, FloatArray, FloatArray]:
         """Concrete (n_t+1, n_theta) arrays for u1, u2, source."""
-        shape = (tgrid.n_t + 1, grid.n_theta)
-        out = []
-        for name, baseline in (("u1", 0.0), ("u2", params.K), ("source", 0.0)):
-            traj = self.get(name)
-            if traj is None:
-                out.append(np.full(shape, baseline))
-            else:
-                if traj.grid != grid or traj.tgrid != tgrid:
-                    raise ValueError(f"control '{name}' is not on the solver grid")
-                out.append(traj.data)
-        return out[0], out[1], out[2]
+        return tuple(self.array(name, grid, tgrid, params) for name in CONTROLS)
 
 
 def advective_rhs_values(
@@ -187,28 +220,25 @@ def advective_rhs_values(
     u2: FloatArray,
     alpha: float,
     source: FloatArray | None = None,
-    dealias: bool = False,
 ) -> FloatArray:
     """Non-diffusive rate -d/dtheta((u2*w[q] + u1)*q) + source on sample rows."""
     w = interaction_values(grid, q, alpha)
     flux_hat = np.fft.rfft((u2 * w + u1) * q)
-    if dealias:
-        flux_hat *= grid.dealias_keep
     rhs = -np.fft.irfft(grid._ik_first * flux_hat, n=grid.n_theta)
     if source is not None:
         rhs = rhs + source
     return rhs
 
 
-def state_rhs_advective(
-    q: Field, u1: Field, u2: Field, params: CouplingParams, source: Field
-) -> Field:
-    """Non-diffusive part of dq/dt (diffusion is handled by the propagator)."""
-    grid = require_same_grid(q, u1, u2, source)
-    return Field(
-        grid,
-        advective_rhs_values(grid, q.values, u1.values, u2.values, params.alpha, source.values),
-    )
+def warn_if_negative(data: FloatArray, what: str) -> None:
+    """ResolutionWarning when a density dips below -POSITIVITY_TOL."""
+    min_q = float(data.min())
+    if min_q < -POSITIVITY_TOL:
+        warnings.warn(
+            f"{what} density reached min {min_q:.3e}; increase resolution",
+            ResolutionWarning,
+            stacklevel=3,
+        )
 
 
 def required_dt(grid: CircleGrid, u1: FloatArray, u2: FloatArray) -> float:
@@ -221,13 +251,41 @@ def required_dt(grid: CircleGrid, u1: FloatArray, u2: FloatArray) -> float:
     return CFL_SAFETY * grid.d_theta / speed
 
 
+def _lawson_heun(
+    grid: CircleGrid,
+    diffusion: float,
+    dt: float,
+    y0: FloatArray,
+    rate: Callable[[int, FloatArray], FloatArray],
+    rows: range,
+    name: str,
+) -> FloatArray:
+    """Heun on `rate` composed with the exact heat propagator, row by row.
+
+    Starts from y0 at rows[0] and steps to each following row; rate(k, y)
+    evaluates the explicit part with the coefficients of row k. Returns the
+    (len(rows), n_theta) history indexed by row.
+    """
+    prop = grid.heat_multiplier(diffusion, dt)
+    data = np.empty((len(rows), grid.n_theta))
+    data[rows[0]] = y = y0
+    for a, b in zip(rows[:-1], rows[1:]):
+        rate1 = rate(a, y)
+        y_prop = np.fft.irfft(prop * np.fft.rfft(y), n=grid.n_theta)
+        rate1_prop = np.fft.irfft(prop * np.fft.rfft(rate1), n=grid.n_theta)
+        rate2 = rate(b, y_prop + dt * rate1_prop)
+        y = y_prop + 0.5 * dt * (rate1_prop + rate2)
+        if not np.all(np.isfinite(y)):
+            raise NumericsError(f"{name} became non-finite at step {b} (t={b * dt:.6g})")
+        data[b] = y
+    return data
+
+
 def solve_state(
     q0: Field,
     controls: ControlSet,
     params: CouplingParams,
     tgrid: TimeGrid,
-    *,
-    dealias: bool = False,
 ) -> Trajectory:
     """Integrate the state PDE forward from the normalized density q0.
 
@@ -253,66 +311,21 @@ def solve_state(
             f"(n_t >= {int(np.ceil(tgrid.T / dt_max))})"
         )
 
-    alpha = params.alpha
-    prop = grid.heat_multiplier(params.D, dt)
     has_source = controls.source is not None
 
-    data = np.empty((tgrid.n_t + 1, grid.n_theta))
-    data[0] = q0.values
-    q = q0.values
-    min_q = float(q.min())
-    for k in range(tgrid.n_t):
-        rhs1 = advective_rhs_values(
-            grid, q, u1a[k], u2a[k], alpha, srca[k] if has_source else None, dealias
+    def rate(k: int, q: FloatArray) -> FloatArray:
+        return advective_rhs_values(
+            grid, q, u1a[k], u2a[k], params.alpha, srca[k] if has_source else None
         )
-        q_prop = np.fft.irfft(prop * np.fft.rfft(q), n=grid.n_theta)
-        rhs1_prop = np.fft.irfft(prop * np.fft.rfft(rhs1), n=grid.n_theta)
-        q_pred = q_prop + dt * rhs1_prop
-        rhs2 = advective_rhs_values(
-            grid, q_pred, u1a[k + 1], u2a[k + 1], alpha, srca[k + 1] if has_source else None, dealias
-        )
-        q = q_prop + 0.5 * dt * (rhs1_prop + rhs2)
-        if not np.all(np.isfinite(q)):
-            raise NumericsError(f"state became non-finite at step {k + 1} (t={(k + 1) * dt:.6g})")
-        data[k + 1] = q
-        m = float(q.min())
-        if m < min_q:
-            min_q = m
 
-    if min_q < -POSITIVITY_TOL:
-        warnings.warn(
-            f"state density reached min {min_q:.3e}; increase resolution",
-            ResolutionWarning,
-            stacklevel=2,
-        )
+    data = _lawson_heun(grid, params.D, dt, q0.values, rate, range(tgrid.n_t + 1), "state")
+    warn_if_negative(data, "state")
     traj = Trajectory(grid, tgrid, data)
     if not has_source:
         drift = float(np.max(np.abs(traj.mass() - mass0)))
         if drift > 1e-8:
             raise NumericsError(f"mass drifted by {drift:.3e} despite flux form")
     return traj
-
-
-def adjoint_rhs(
-    p: Field,
-    q: Field,
-    u1: Field,
-    u2: Field,
-    params: CouplingParams,
-    mismatch: Field,
-    alpha_r: float,
-) -> Field:
-    """Backward-time rate of the adjoint (diffusion handled by the propagator).
-
-    With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*mismatch.
-    """
-    grid = require_same_grid(p, q, u1, u2, mismatch)
-    return Field(
-        grid,
-        _adjoint_rate(
-            grid, p.values, q.values, u1.values, u2.values, params.alpha, mismatch.values, alpha_r
-        ),
-    )
 
 
 def _adjoint_rate(
@@ -325,6 +338,10 @@ def _adjoint_rate(
     mismatch: FloatArray,
     alpha_r: float,
 ) -> FloatArray:
+    """Backward-time rate of the adjoint (diffusion handled by the propagator).
+
+    With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*mismatch.
+    """
     dp = grid.deriv(p)
     w_q = interaction_values(grid, q, alpha)
     rate = (u2 * w_q + u1) * dp
@@ -355,24 +372,11 @@ def solve_adjoint(
     alpha_r, alpha_t = weights
 
     u1a, u2a, _ = controls.resolve(grid, tgrid, params)
-    dt = tgrid.dt
-    alpha = params.alpha
-    prop = grid.heat_multiplier(params.D, dt)
     qd, zd = q_traj.data, z_traj.data
 
-    data = np.empty((tgrid.n_t + 1, grid.n_theta))
-    p = alpha_t * (qd[-1] - zd[-1])
-    data[-1] = p
-    for m in range(tgrid.n_t - 1, -1, -1):
-        rate1 = _adjoint_rate(
-            grid, p, qd[m + 1], u1a[m + 1], u2a[m + 1], alpha, qd[m + 1] - zd[m + 1], alpha_r
-        )
-        p_prop = np.fft.irfft(prop * np.fft.rfft(p), n=grid.n_theta)
-        rate1_prop = np.fft.irfft(prop * np.fft.rfft(rate1), n=grid.n_theta)
-        p_pred = p_prop + dt * rate1_prop
-        rate2 = _adjoint_rate(grid, p_pred, qd[m], u1a[m], u2a[m], alpha, qd[m] - zd[m], alpha_r)
-        p = p_prop + 0.5 * dt * (rate1_prop + rate2)
-        if not np.all(np.isfinite(p)):
-            raise NumericsError(f"adjoint became non-finite at step {m} (t={m * dt:.6g})")
-        data[m] = p
+    def rate(m: int, p: FloatArray) -> FloatArray:
+        return _adjoint_rate(grid, p, qd[m], u1a[m], u2a[m], params.alpha, qd[m] - zd[m], alpha_r)
+
+    p_end = alpha_t * (qd[-1] - zd[-1])
+    data = _lawson_heun(grid, params.D, tgrid.dt, p_end, rate, range(tgrid.n_t, -1, -1), "adjoint")
     return Trajectory(grid, tgrid, data)

@@ -67,28 +67,11 @@ class CircleGrid:
         ik.setflags(write=False)
         return ik
 
-    @cached_property
-    def _minus_k2(self) -> FloatArray:
-        m = -self.wavenumbers**2
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def dealias_keep(self) -> NDArray[np.bool_]:
-        """2/3-rule mask over rfft modes (True = keep)."""
-        keep = self.wavenumbers <= self.n_theta / 3.0
-        keep.setflags(write=False)
-        return keep
-
-    # -- array-level operators (hot path; Field wrappers below) --
+    # -- array-level operators (hot path) --
 
     def deriv(self, values: FloatArray) -> FloatArray:
         """Spectral d/dtheta of one sample row."""
         return np.fft.irfft(self._ik_first * np.fft.rfft(values), n=self.n_theta)
-
-    def deriv2(self, values: FloatArray) -> FloatArray:
-        """Spectral d^2/dtheta^2 of one sample row."""
-        return np.fft.irfft(self._minus_k2 * np.fft.rfft(values), n=self.n_theta)
 
     def deriv_rows(self, rows: FloatArray) -> FloatArray:
         """Spectral d/dtheta applied to every row of a stacked array."""
@@ -103,12 +86,16 @@ class CircleGrid:
         return rows.sum(axis=-1) * self.d_theta
 
     def heat_multiplier(self, diffusion: float, dt: float) -> FloatArray:
-        """rfft-mode factors exp(-D k^2 dt) of the exact diffusion propagator."""
+        """rfft-mode factors exp(-D k^2 dt) of the exact diffusion propagator.
+
+        Mode 0 is 1, so the propagator preserves the integral exactly; D = 0
+        gives the identity.
+        """
         if diffusion < 0.0:
             raise ValueError(f"diffusion coefficient must be >= 0, got {diffusion}")
         if dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        return np.exp(self._minus_k2 * (diffusion * dt))
+        return np.exp(-self.wavenumbers**2 * (diffusion * dt))
 
 
 @dataclass(frozen=True)
@@ -142,39 +129,14 @@ class Field:
         return cls(grid, np.full(grid.n_theta, value))
 
 
-def require_same_grid(*fields: Field) -> CircleGrid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("fields live on different grids")
-    return grid
-
-
 def ddtheta(f: Field) -> Field:
     """Spectral derivative; exact for resolved modes, Nyquist mode dropped."""
     return Field(f.grid, f.grid.deriv(f.values))
 
 
-def d2dtheta2(f: Field) -> Field:
-    """Spectral second derivative (multiplier -k^2, Nyquist included)."""
-    return Field(f.grid, f.grid.deriv2(f.values))
-
-
 def integrate(f: Field) -> float:
     """Integral of f over the circle."""
     return f.grid.quad(f.values)
-
-
-def diffuse(f: Field, diffusion: float, dt: float) -> Field:
-    """Propagate f through the heat semigroup exp(D dt d^2/dtheta^2).
-
-    Mode 0 is untouched, so the integral of f is preserved exactly; D = 0 is
-    the exact identity.
-    """
-    mult = f.grid.heat_multiplier(diffusion, dt)
-    if diffusion == 0.0:
-        return f
-    return Field(f.grid, np.fft.irfft(mult * np.fft.rfft(f.values), n=f.grid.n_theta))
 
 
 def random_bandlimited(

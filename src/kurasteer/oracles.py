@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import i0e, i1e
 
 from .coupling import CouplingParams
-from .dynamics import ControlSet, TimeGrid
+from .dynamics import CONTROLS, ControlSet, TimeGrid
 from .grid import TWO_PI, CircleGrid, Field, FloatArray
 
 SYNC_THRESHOLD = 2.0  # coupling-to-diffusion ratio below which only R = 0 solves
@@ -169,12 +169,16 @@ def simulate_particles(
     """Euler-Maruyama run of the controlled oscillator swarm.
 
     Controls are sampled from their PDE-grid histories: linear interpolation
-    in theta, step-constant in time. Noise increments are N(0, 2*D*dt), so
-    the empirical density diffuses with coefficient D. Returns the discrete
-    order parameter series (R_N(t_k), psi_N(t_k)).
+    in theta, step-constant in time. Only controls that advect move
+    particles; any other control raises ValueError. Noise increments are
+    N(0, 2*D*dt), so the empirical density diffuses with coefficient D.
+    Returns the discrete order parameter series (R_N(t_k), psi_N(t_k)).
     """
-    has_controls = controls is not None and (controls.u1 is not None or controls.u2 is not None)
-    if has_controls:
+    given = [] if controls is None else [n for n in CONTROLS if controls.get(n) is not None]
+    for name in given:
+        if not CONTROLS[name].advects:
+            raise ValueError(f"control '{name}' does not advect; the particle model cannot apply it")
+    if given:
         if grid is None:
             raise ValueError("grid is required to sample control histories")
         u1a, u2a, _ = controls.resolve(grid, tgrid, params)
@@ -196,11 +200,11 @@ def simulate_particles(
         R[k], psi[k] = np.abs(z), np.angle(z) % TWO_PI
         if k == tgrid.n_t:
             break
-        if has_controls:
+        if given:
             u1 = sample(u1a, k, th)
             u2 = sample(u2a, k, th)
         else:
-            u1, u2 = 0.0, params.K
+            u1, u2 = CONTROLS["u1"].baseline(params), CONTROLS["u2"].baseline(params)
         drift = u1 + u2 * R[k] * np.sin(psi[k] - th - params.alpha)
         th = th + dt * drift
         if params.D > 0.0:

@@ -223,6 +223,7 @@ def velocity_result(scenario, baseline_run):
     return res, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_result):
     grid, params, q0, target = scenario
     tgrid, baseline = baseline_run
@@ -247,6 +248,7 @@ def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_
             f"{len(costs) - 1} accepted steps, strictly decreasing")
 
 
+@pytest.mark.slow
 def test_criterion_09_interaction_mode_end_to_end(scenario, baseline_run):
     grid, params, q0, target = scenario
     tgrid, baseline = baseline_run

@@ -9,14 +9,13 @@ from kurasteer import (
     Field,
     TimeGrid,
     Trajectory,
-    adjoint_rhs,
     integrate,
     interaction_field,
     solve_adjoint,
     solve_state,
-    state_rhs_advective,
     sync_series,
 )
+from kurasteer.dynamics import _adjoint_rate, advective_rhs_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
@@ -61,38 +60,39 @@ class TestTrajectory:
 
 class TestStateRhs:
     def test_uniform_state_stationary(self, grid, params):
-        q = Field.constant(grid, 1 / (2 * np.pi))
-        u1 = Field.constant(grid, 0.7)
-        u2 = Field.constant(grid, params.K)
-        rhs = state_rhs_advective(q, u1, u2, params, Field.constant(grid, 0.0))
-        assert np.max(np.abs(rhs.values)) <= 1e-12
+        q = np.full(grid.n_theta, 1 / (2 * np.pi))
+        u1 = np.full(grid.n_theta, 0.7)
+        u2 = np.full(grid.n_theta, params.K)
+        rhs = advective_rhs_values(grid, q, u1, u2, params.alpha, np.zeros(grid.n_theta))
+        assert np.max(np.abs(rhs)) <= 1e-12
 
     def test_pure_source(self, grid, params):
-        q = Field.constant(grid, 1 / (2 * np.pi))
-        zero = Field.constant(grid, 0.0)
-        src = Field.from_function(grid, lambda th: np.sin(2 * th))
-        rhs = state_rhs_advective(q, zero, zero, params, src)
-        assert np.max(np.abs(rhs.values - src.values)) <= 1e-14
+        q = np.full(grid.n_theta, 1 / (2 * np.pi))
+        zero = np.zeros(grid.n_theta)
+        src = np.sin(2 * grid.theta)
+        rhs = advective_rhs_values(grid, q, zero, zero, params.alpha, src)
+        assert np.max(np.abs(rhs - src)) <= 1e-14
 
     def test_matches_quadrature_oracle(self, grid, params, cosine_density):
         # -(d/dtheta)(w[q] q) with w from the O(n^2) oracle and spectral derivative
         q = cosine_density
-        u2 = Field.constant(grid, 1.0)
-        zero = Field.constant(grid, 0.0)
-        rhs = state_rhs_advective(q, zero, u2, params, zero)
+        zero = np.zeros(grid.n_theta)
+        rhs = advective_rhs_values(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero)
         w_oracle = interaction_field_quadrature(q, params.alpha)
         expected = -grid.deriv(w_oracle.values * q.values)
-        assert np.max(np.abs(rhs.values - expected)) <= 1e-10
+        assert np.max(np.abs(rhs - expected)) <= 1e-10
 
     def test_grid_mismatch(self, grid, params):
+        # a control row sampled on another grid cannot combine with the state
         other = CircleGrid(64)
         with pytest.raises(ValueError):
-            state_rhs_advective(
-                Field.constant(grid, 1.0),
-                Field.constant(other, 0.0),
-                Field.constant(grid, 1.0),
-                params,
-                Field.constant(grid, 0.0),
+            advective_rhs_values(
+                grid,
+                np.ones(grid.n_theta),
+                np.zeros(other.n_theta),
+                np.ones(grid.n_theta),
+                params.alpha,
+                np.zeros(grid.n_theta),
             )
 
 
@@ -153,11 +153,6 @@ class TestSolveState:
         with pytest.raises(ValueError, match="integrate to 1"):
             solve_state(Field.constant(grid, 1.0), ControlSet(), params, TimeGrid(1.0, 200))
 
-    def test_dealias_flag_runs_and_conserves_mass(self, grid, params):
-        tg = TimeGrid(1.0, 400)
-        traj = solve_state(gaussian_q0(grid), ControlSet(), params, tg, dealias=True)
-        assert np.max(np.abs(traj.mass() - 1.0)) <= 1e-10
-
     def test_source_injects_mass(self, grid, params):
         # linear-source mode: a nonzero-mean source changes the total mass
         tg = TimeGrid(1.0, 200)
@@ -168,18 +163,18 @@ class TestSolveState:
 
 class TestAdjoint:
     def test_constant_p_leaves_only_mismatch(self, grid, params):
-        p = Field.constant(grid, 4.2)
-        q = Field.constant(grid, 1 / (2 * np.pi))
-        u1 = Field.constant(grid, 0.3)
-        u2 = Field.constant(grid, 1.0)
-        mismatch = Field.from_function(grid, np.cos)
-        out = adjoint_rhs(p, q, u1, u2, params, mismatch, alpha_r=2.0)
-        assert np.max(np.abs(out.values - 2.0 * mismatch.values)) <= 1e-12
+        p = np.full(grid.n_theta, 4.2)
+        q = np.full(grid.n_theta, 1 / (2 * np.pi))
+        u1 = np.full(grid.n_theta, 0.3)
+        u2 = np.ones(grid.n_theta)
+        mismatch = np.cos(grid.theta)
+        out = _adjoint_rate(grid, p, q, u1, u2, params.alpha, mismatch, alpha_r=2.0)
+        assert np.max(np.abs(out - 2.0 * mismatch)) <= 1e-12
 
     def test_zero_everywhere(self, grid, params):
-        zero = Field.constant(grid, 0.0)
-        out = adjoint_rhs(zero, zero, zero, zero, params, zero, alpha_r=1.0)
-        assert np.max(np.abs(out.values)) <= 1e-15
+        zero = np.zeros(grid.n_theta)
+        out = _adjoint_rate(grid, zero, zero, zero, zero, params.alpha, zero, alpha_r=1.0)
+        assert np.max(np.abs(out)) <= 1e-15
 
     def test_duality_spot_check(self, grid, params, rng):
         # <w*[u2 p' q], psi> == <w[psi], u2 p' q> for random band-limited fields
@@ -217,7 +212,6 @@ class TestAdjoint:
         # with u2 = K = 1 and zero lag the adjoint kernel flips sign, so the
         # general backward rate reduces to w[q] p' - w[q p'] + mismatch
         from kurasteer.coupling import interaction_values
-        from kurasteer.dynamics import _adjoint_rate
 
         p = random_bandlimited(grid, rng).values
         q = random_bandlimited(grid, rng).values

@@ -20,7 +20,9 @@ from kurasteer import (
     solve_adjoint,
     solve_state,
 )
-from kurasteer.optimizer import shape_project, space_time_inner
+from kurasteer.checks import check_gradients
+from kurasteer.config import RunConfig, load_config
+from kurasteer.optimizer import _advective_caps, _baseline_arrays, shape_project, space_time_inner
 from kurasteer.scenarios import DensitySpec
 
 TWO_PI = 2 * np.pi
@@ -76,6 +78,53 @@ class TestWeightsAndConfig:
     def test_optimizer_config_validation(self, kw):
         with pytest.raises(ValueError):
             OptimizerConfig(**kw)
+
+
+class TestModeInvariants:
+    """Per-mode facts every control mechanism must keep: CFL caps, a
+    zero-energy baseline, and the absolute-u2 penalty."""
+
+    def make_problem(self, mode, weights=CostWeights()):
+        grid, tgrid, params, q0, z = small_setup()
+        return OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=mode,
+            shape=ControlShape.SPACE_TIME, weights=weights,
+            optimizer=OptimizerConfig(), q0=q0, target=z,
+        )
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_advective_caps(self, mode):
+        prob = self.make_problem(mode)
+        budget = 0.995 * 0.5 * prob.grid.d_theta / prob.tgrid.dt
+        expected = {
+            ControlMode.VELOCITY: {"u1": budget - abs(prob.params.K)},
+            ControlMode.INTERACTION: {"u2": budget},
+            ControlMode.LINEAR_SOURCE: {},
+            ControlMode.JOINT: {"u1": budget / 2.0, "u2": budget / 2.0},
+        }[mode]
+        assert _advective_caps(prob) == expected
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_baseline_controls_cost_no_energy(self, mode):
+        prob = self.make_problem(mode)
+        cs = ControlSet(**{
+            n: Trajectory(prob.grid, prob.tgrid, arr) for n, arr in _baseline_arrays(prob).items()
+        })
+        q = solve_state(prob.q0, cs, prob.params, prob.tgrid)
+        for controls in (cs, ControlSet()):
+            _, _, j_u = cost(q, prob.target, controls, prob.weights, mode, prob.params)
+            assert j_u == 0.0
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_absolute_u2_penalty_at_baseline(self, mode):
+        prob = self.make_problem(mode, CostWeights(penalize_absolute_u2=True))
+        q = solve_state(prob.q0, ControlSet(), prob.params, prob.tgrid)
+        _, _, j_u = cost(q, prob.target, ControlSet(), prob.weights, mode, prob.params)
+        if "u2" in mode.active_controls:
+            expected = 0.5 * prob.weights.beta2 * prob.params.K**2 * prob.tgrid.T * TWO_PI
+            assert j_u == pytest.approx(expected, rel=1e-12)
+        else:
+            assert j_u == 0.0
 
 
 class TestCost:
@@ -253,6 +302,22 @@ class TestGradientCheck:
             self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0, bias=0.05
         )
         assert not report.passed
+
+    def test_small_bias_fails(self):
+        # a uniform shift of 1e-3 still shows at the smallest eps, where the
+        # correct gradient reads below 1e-4
+        report = gradient_check(
+            self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0, bias=1e-3
+        )
+        assert not report.passed
+
+    def test_default_check_problem_seed1_passes(self):
+        # interaction direction 3 is most accurate at the largest eps and then
+        # rises to the O(dt) floor: a correct gradient that must pass
+        runcfg = RunConfig.from_dict(load_config(seed=1))
+        results = check_gradients(runcfg)
+        assert all(r["passed"] for r in results)
+        assert all(max(r["floor_rel_errors"]) <= 1e-4 for r in results)
 
 
 class TestOptimize:

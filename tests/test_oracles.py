@@ -160,6 +160,16 @@ class TestSimulateParticles:
         R_N, _ = simulate_particles(ens, None, params, tg)
         assert np.max(np.abs(R_N - R_pde)) <= 0.05
 
+    def test_non_advecting_control_rejected(self):
+        # the swarm has no birth/death process: an additive source cannot act
+        grid = CircleGrid(32)
+        tg = TimeGrid(1.0, 50)
+        controls = ControlSet(source=Trajectory.constant(grid, tg, 5.0))
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
+        ens = ParticleEnsemble.from_density(q0, 500, rng_seed=0)
+        with pytest.raises(ValueError, match="source"):
+            simulate_particles(ens, controls, CouplingParams(), tg, grid=grid)
+
     def test_deterministic_given_seed(self, params):
         tg = TimeGrid(1.0, 100)
         q0 = DensitySpec(kind="uniform").build(CircleGrid(64))
