@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import run_all_checks
 from .config import RunConfig, load_config
-from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, solve_state
+from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, Trajectory, solve_state
 from .optimizer import optimize, sync_series
 from .outputs import (
     tracking_error_series,
@@ -60,59 +60,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_outputs(runcfg: RunConfig, out: Path) -> dict:
-    controls = ControlSet()
-    traj = solve_state(runcfg.q0, controls, runcfg.params, runcfg.tgrid)
-    target = runcfg.target_trajectory()
+def _state_report(traj: Trajectory, target: Trajectory, alpha_r: float) -> tuple[tuple, dict]:
+    """A state's (t, R, psi, mass, Jq_running) series and its final metrics."""
     t, R, psi, mass = sync_series(traj)
-    terr = tracking_error_series(runcfg.grid, traj, target)
-    jq_running = 0.5 * runcfg.weights.alpha_r * terr
-    write_timeseries_csv(out / "timeseries.csv", t, R, psi, mass, jq_running)
-    write_field_file(out / "state.f64", traj, "state", FIELD_UNITS["state"])
-    summary = {
-        "command": "simulate",
-        "config": runcfg.raw,
+    terr = tracking_error_series(traj.grid, traj, target)
+    metrics = {
         "final_R": float(R[-1]),
         "final_psi": float(psi[-1]),
         "final_mass": float(mass[-1]),
-        "max_mass_error": float(np.max(np.abs(mass - mass[0]))),
         "terminal_tracking_error": float(terr[-1]),
-        "min_density": float(traj.data.min()),
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return (t, R, psi, mass, 0.5 * alpha_r * terr), metrics
+
+
+def _write_state(out: Path, traj: Trajectory, series: tuple) -> None:
+    write_timeseries_csv(out / "timeseries.csv", *series)
+    write_field_file(out / "state.f64", traj, "state", FIELD_UNITS["state"])
 
 
 def cmd_simulate(runcfg: RunConfig) -> int:
     out = runcfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    summary = _simulate_outputs(runcfg, out)
+    traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
+    series, metrics = _state_report(traj, runcfg.target_trajectory(), runcfg.weights.alpha_r)
+    _write_state(out, traj, series)
+    mass = series[3]
+    summary = {
+        "command": "simulate",
+        "config": runcfg.raw,
+        **metrics,
+        "max_mass_error": float(np.max(np.abs(mass - mass[0]))),
+        "min_density": float(traj.data.min()),
+    }
+    write_json(out / "summary.json", summary)
     logger.info("simulate: R(T)=%.4f mass error %.2e", summary["final_R"], summary["max_mass_error"])
     return 0
 
 
 def cmd_optimize(runcfg: RunConfig) -> int:
     out = runcfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    problem = runcfg.problem()
 
     # uncontrolled baseline for side-by-side metrics
     baseline = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-    target = runcfg.target_trajectory()
-    bt, bR, bpsi, bmass = sync_series(baseline)
-    baseline_terr = tracking_error_series(runcfg.grid, baseline, target)
+    _, baseline_metrics = _state_report(baseline, problem.target, runcfg.weights.alpha_r)
 
-    result = optimize(runcfg.problem())
-    t, R, psi, mass = result.times, result.R, result.psi, result.mass
-    terr = tracking_error_series(runcfg.grid, result.state, target)
-    jq_running = 0.5 * runcfg.weights.alpha_r * terr
+    result = optimize(problem)
+    series, metrics = _state_report(result.state, problem.target, runcfg.weights.alpha_r)
 
     write_convergence_csv(out / "convergence.csv", result.iterates)
-    write_timeseries_csv(out / "timeseries.csv", t, R, psi, mass, jq_running)
-    write_field_file(out / "state.f64", result.state, "state", FIELD_UNITS["state"])
+    _write_state(out, result.state, series)
     write_field_file(out / "adjoint.f64", result.adjoint, "adjoint", FIELD_UNITS["adjoint"])
     for name in runcfg.mode.active_controls:
-        traj = result.controls.get(name)
-        write_field_file(out / f"control_{name}.f64", traj, name, FIELD_UNITS[name])
+        write_field_file(out / f"control_{name}.f64", result.controls.get(name), name, FIELD_UNITS[name])
 
     summary = {
         "command": "optimize",
@@ -123,34 +122,24 @@ def cmd_optimize(runcfg: RunConfig) -> int:
         "J_q": result.final.J_q,
         "J_u": result.final.J_u,
         "grad_norm": result.final.grad_norm,
-        "final_R": float(R[-1]),
-        "final_psi": float(psi[-1]),
-        "final_mass": float(mass[-1]),
-        "terminal_tracking_error": float(terr[-1]),
-        "baseline": {
-            "final_R": float(bR[-1]),
-            "final_psi": float(bpsi[-1]),
-            "final_mass": float(bmass[-1]),
-            "terminal_tracking_error": float(baseline_terr[-1]),
-        },
+        **metrics,
+        "baseline": baseline_metrics,
     }
     write_json(out / "summary.json", summary)
     logger.info(
         "optimize: status=%s J=%.6e terminal error %.3e (baseline %.3e)",
         result.status,
         result.final.J,
-        summary["terminal_tracking_error"],
-        summary["baseline"]["terminal_tracking_error"],
+        metrics["terminal_tracking_error"],
+        baseline_metrics["terminal_tracking_error"],
     )
     return 3 if result.status == "stalled" else 0
 
 
 def cmd_check(runcfg: RunConfig) -> int:
-    out = runcfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     report = run_all_checks(runcfg)
     report["config"] = runcfg.raw
-    write_json(out / "report.json", report)
+    write_json(runcfg.output_dir / "report.json", report)
     for chk in report["checks"]:
         logger.info("check %-28s %s", chk["name"], "PASS" if chk["passed"] else "FAIL")
     return 0 if report["passed"] else 2
@@ -166,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides, args.out, args.seed)
         runcfg = RunConfig.from_dict(cfg)
+        runcfg.output_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(runcfg)
         if args.command == "optimize":

@@ -1,14 +1,16 @@
 """Run configuration: JSON file plus dotted-key command-line overrides.
 
-One nested dictionary is the authoritative schema (see DEFAULT_CONFIG and the
-README); RunConfig materializes it into solver objects.
+One nested dictionary is the schema (see DEFAULT_CONFIG and the README). The
+physics, weights and optimizer sections are the fields and defaults of the
+settings dataclasses; RunConfig materializes the dictionary into solver
+objects.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,38 +22,17 @@ from .optimizer import CostWeights, OcpProblem, OptimizerConfig
 from .scenarios import DensitySpec
 
 DEFAULT_CONFIG: dict = {
-    "physics": {"D": 0.25, "alpha": 0.0, "K": 1.0},
+    "physics": asdict(CouplingParams()),
     "discretization": {"n_theta": 128, "n_t": 2000, "T": 10.0},
     "mode": "velocity",
     "shape": "space_time",
-    "weights": {
-        "alpha_r": 1.0,
-        "alpha_t": 10.0,
-        "beta1": 1e-3,
-        "beta2": 1e-2,
-        "beta_lin": 1e-3,
-        "penalize_absolute_u2": False,
-    },
-    "optimizer": {
-        "max_iters": 100,
-        "armijo_c": 1e-4,
-        "backtrack_factor": 0.5,
-        "initial_step": 1.0,
-        "grad_tol": 1e-8,
-        "cost_rel_tol": 1e-12,
-        "max_backtracks": 40,
-        "method": "gd",
-    },
+    "weights": asdict(CostWeights()),
+    "optimizer": asdict(OptimizerConfig()),
     "scenario": {
         "q0": {"kind": "wrapped_gaussian", "mean": np.pi / 2, "sigma": 0.8},
         "target": {"kind": "wrapped_gaussian", "mean": 3 * np.pi / 2, "sigma": 0.4},
     },
-    "initial_controls": {
-        "u1_file": None,
-        "u2_file": None,
-        "source_file": None,
-        "perturbation_scale": 0.0,
-    },
+    "initial_controls": {**{f"{name}_file": None for name in CONTROLS}, "perturbation_scale": 0.0},
     "check": {"n_theta": 64, "n_t": 200, "T": 1.0, "directions": 5, "gradient_bias": 0.0},
     "output_dir": "out",
     "seed": 0,
@@ -104,13 +85,34 @@ def load_config(
 
 
 def _merge(base: dict, update: dict, prefix: str = "") -> None:
+    """Merge a config file into the defaults. A density spec that names its
+    kind replaces the old spec whole; one without merges field by field."""
     for key, value in update.items():
         if key not in base:
             raise KeyError(f"unknown config key {prefix + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _merge(base[key], value, prefix + key + ".")
+        node = base[key]
+        if isinstance(node, dict) and isinstance(value, dict) and not ("kind" in node and "kind" in value):
+            _merge(node, value, prefix + key + ".")
         else:
             base[key] = value
+
+
+def _settings(cls: type, section: dict, prefix: str):
+    """One settings dataclass from its config section, each value cast to the
+    type of the field's default. Booleans must be JSON booleans and integer
+    fields whole numbers."""
+    values = {}
+    for f in fields(cls):
+        key, value, kind = f"{prefix}.{f.name}", section[f.name], type(f.default)
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        try:
+            values[f.name] = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}") from None
+        if kind is int and (values[f.name] != value or isinstance(value, bool)):
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -134,43 +136,17 @@ class RunConfig:
     def from_dict(cls, cfg: dict) -> "RunConfig":
         grid = CircleGrid(int(cfg["discretization"]["n_theta"]))
         tgrid = TimeGrid(float(cfg["discretization"]["T"]), int(cfg["discretization"]["n_t"]))
-        phys = cfg["physics"]
-        params = CouplingParams(alpha=float(phys["alpha"]), D=float(phys["D"]), K=float(phys["K"]))
-        mode = ControlMode(cfg["mode"])
-        shape = ControlShape(cfg["shape"])
-        w = cfg["weights"]
-        weights = CostWeights(
-            alpha_r=float(w["alpha_r"]),
-            alpha_t=float(w["alpha_t"]),
-            beta1=float(w["beta1"]),
-            beta2=float(w["beta2"]),
-            beta_lin=float(w["beta_lin"]),
-            penalize_absolute_u2=bool(w["penalize_absolute_u2"]),
-        )
-        o = cfg["optimizer"]
-        opt = OptimizerConfig(
-            max_iters=int(o["max_iters"]),
-            armijo_c=float(o["armijo_c"]),
-            backtrack_factor=float(o["backtrack_factor"]),
-            initial_step=float(o["initial_step"]),
-            grad_tol=float(o["grad_tol"]),
-            cost_rel_tol=float(o["cost_rel_tol"]),
-            max_backtracks=int(o["max_backtracks"]),
-            method=str(o["method"]),
-        )
-        q0 = DensitySpec.from_dict(cfg["scenario"]["q0"]).build(grid)
-        target = DensitySpec.from_dict(cfg["scenario"]["target"]).build(grid)
         return cls(
             raw=cfg,
             grid=grid,
             tgrid=tgrid,
-            params=params,
-            mode=mode,
-            shape=shape,
-            weights=weights,
-            optimizer=opt,
-            q0=q0,
-            target_field=target,
+            params=_settings(CouplingParams, cfg["physics"], "physics"),
+            mode=ControlMode(cfg["mode"]),
+            shape=ControlShape(cfg["shape"]),
+            weights=_settings(CostWeights, cfg["weights"], "weights"),
+            optimizer=_settings(OptimizerConfig, cfg["optimizer"], "optimizer"),
+            q0=DensitySpec.from_dict(cfg["scenario"]["q0"]).build(grid),
+            target_field=DensitySpec.from_dict(cfg["scenario"]["target"]).build(grid),
             seed=int(cfg["seed"]),
             output_dir=Path(cfg["output_dir"]),
         )
@@ -185,8 +161,7 @@ class RunConfig:
         shape = (self.tgrid.n_t + 1, self.grid.n_theta)
         arrays: dict[str, np.ndarray] = {}
         for name in self.mode.active_controls:
-            file_key = f"{name}_file"
-            path = ic.get(file_key)
+            path = ic.get(f"{name}_file")
             if path:
                 arr = np.fromfile(path, dtype="<f8")
                 if arr.size != shape[0] * shape[1]:

@@ -155,15 +155,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptResult:
+    """Outcome of optimize; sync_series(result.state) gives its R, psi and mass."""
+
     status: str
     iterates: tuple[IterationRecord, ...]
     controls: ControlSet
     state: Trajectory
     adjoint: Trajectory
-    times: FloatArray
-    R: FloatArray
-    psi: FloatArray
-    mass: FloatArray
 
     @property
     def final(self) -> IterationRecord:
@@ -400,17 +398,12 @@ def optimize(problem: OcpProblem) -> OptResult:
         s_start = 2.0 * s_acc if bt == 0 else s_acc
 
     warn_if_negative(q_traj.data, "optimized state")
-    t, big_r, psi, mass = sync_series(q_traj)
     return OptResult(
         status=status,
         iterates=tuple(records),
         controls=cs,
         state=q_traj,
         adjoint=p_traj,
-        times=t,
-        R=big_r,
-        psi=psi,
-        mass=mass,
     )
 
 

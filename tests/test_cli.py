@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kurasteer import CostWeights, CouplingParams, OptimizerConfig
 from kurasteer.cli import main
-from kurasteer.config import DEFAULT_CONFIG, apply_override, load_config, parse_override
+from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
 from kurasteer.outputs import read_field_file
 
 FAST = [
@@ -42,6 +43,34 @@ class TestConfig:
         assert cfg["physics"]["D"] == 0.5
         assert cfg["physics"]["K"] == 1.0
         assert cfg["seed"] == 3
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        runcfg = RunConfig.from_dict(load_config())
+        assert runcfg.params == CouplingParams()
+        assert runcfg.weights == CostWeights()
+        assert runcfg.optimizer == OptimizerConfig()
+
+    def test_file_density_spec_with_kind_replaces_default(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": {"q0": {"kind": "uniform"}, "target": {"sigma": 0.5}}}))
+        cfg = load_config(p)
+        assert cfg["scenario"]["q0"] == {"kind": "uniform"}
+        assert cfg["scenario"]["target"] == {**DEFAULT_CONFIG["scenario"]["target"], "sigma": 0.5}
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("weights.penalize_absolute_u2=False", "weights.penalize_absolute_u2"),
+            ("weights.penalize_absolute_u2=1", "weights.penalize_absolute_u2"),
+            ("optimizer.max_iters=5.9", "optimizer.max_iters"),
+            ("optimizer.max_backtracks=true", "optimizer.max_backtracks"),
+            ("physics.D=fast", "physics.D"),
+        ],
+    )
+    def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
+        code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", override])
+        assert code == 1
+        assert field in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -83,6 +112,18 @@ class TestSimulate:
         )
         assert code == 1
         assert "CFL" in capsys.readouterr().err
+
+    def test_mixture_density_from_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        components = [
+            {"weight": 2.0, "mean": 1.0, "sigma": 0.3},
+            {"weight": 1.0, "mean": 4.0, "sigma": 0.5},
+        ]
+        cfg.write_text(json.dumps({"scenario": {"q0": {"kind": "mixture", "components": components}}}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *FAST]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["scenario"]["q0"] == {"kind": "mixture", "components": components}
 
     def test_bad_override_hard_error(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x"), "--set", "physics.nope=1"])
