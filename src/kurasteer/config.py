@@ -52,15 +52,15 @@ def parse_override(expr: str) -> tuple[str, object]:
 
 
 def apply_override(cfg: dict, key: str, value: object) -> None:
-    parts = key.split(".")
-    node = cfg
-    for part in parts[:-1]:
+    """Set one dotted key. A JSON-object value merges into its section by the
+    rules of a config file (see _merge), so every key it names is checked."""
+    *sections, last = key.split(".")
+    node, prefix = cfg, ""
+    for part in sections:
         if part not in node or not isinstance(node[part], dict):
             raise KeyError(f"unknown config section {part!r} in override {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise KeyError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+        node, prefix = node[part], prefix + part + "."
+    _merge(node, {last: value}, prefix)
 
 
 def load_config(
@@ -85,13 +85,16 @@ def load_config(
 
 
 def _merge(base: dict, update: dict, prefix: str = "") -> None:
-    """Merge a config file into the defaults. A density spec that names its
-    kind replaces the old spec whole; one without merges field by field."""
+    """Merge a config file into the defaults. A section or density spec takes
+    only a JSON object; a density spec that names its kind replaces the old
+    spec whole, one without merges field by field."""
     for key, value in update.items():
         if key not in base:
             raise KeyError(f"unknown config key {prefix + key!r}")
         node = base[key]
-        if isinstance(node, dict) and isinstance(value, dict) and not ("kind" in node and "kind" in value):
+        if isinstance(node, dict) and not isinstance(value, dict):
+            raise ValueError(f"config section {prefix + key!r} must be a JSON object, got {value!r}")
+        if isinstance(node, dict) and not ("kind" in node and "kind" in value):
             _merge(node, value, prefix + key + ".")
         else:
             base[key] = value

@@ -40,9 +40,13 @@ class PolarOrder:
 
 def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, FloatArray]:
     """First circular moments (integral of cos*v, integral of sin*v) of one
-    sample row, or of every row of a stacked (n_rows, n_theta) array."""
+    sample row, or of every row of a stacked (n_rows, n_theta) array.
+
+    vecdot takes one dot product per row, so a row's moments do not depend
+    on the stack it is in (a matrix-vector product may round differently).
+    """
     d = grid.d_theta
-    return values @ grid.cos_theta * d, values @ grid.sin_theta * d
+    return np.vecdot(values, grid.cos_theta) * d, np.vecdot(values, grid.sin_theta) * d
 
 
 def circular_moments(q: Field) -> tuple[float, float]:

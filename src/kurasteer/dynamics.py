@@ -10,10 +10,13 @@ Adjoint equation (backward, terminal condition at t = T):
 
 Both are integrated with the same scheme: Heun (explicit RK2) on the
 advective/nonlocal/source part composed with the exact Fourier diffusion
-propagator over each step. Diffusion is therefore unconditionally stable and
-mass-exact; the explicit part is nonstiff because the coupling velocity w is
-bounded by the density mass. The adjoint runs the mirrored scheme in reversed
-time, reusing stored state rows at the exact stage times.
+propagator over each step, an integrating-factor (Lawson) Runge-Kutta
+method carried in rfft space, with four FFT calls per step. Diffusion is
+therefore unconditionally stable and mass-exact; the explicit part is
+nonstiff because the coupling velocity w is bounded by the density mass. The
+adjoint runs the mirrored scheme in reversed time, reusing stored state rows
+at the exact stage times. The state solver also takes a stack of control
+histories and integrates them together.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .coupling import CouplingParams, interaction_adjoint_values, interaction_values
 from .grid import CircleGrid, Field, FloatArray
@@ -220,14 +224,15 @@ def advective_rhs_values(
     u2: FloatArray,
     alpha: float,
     source: FloatArray | None = None,
-) -> FloatArray:
-    """Non-diffusive rate -d/dtheta((u2*w[q] + u1)*q) + source on sample rows."""
-    w = interaction_values(grid, q, alpha)
-    flux_hat = np.fft.rfft((u2 * w + u1) * q)
-    rhs = -np.fft.irfft(grid._ik_first * flux_hat, n=grid.n_theta)
-    if source is not None:
-        rhs = rhs + source
-    return rhs
+) -> NDArray[np.complex128]:
+    """rfft coefficients of the non-diffusive rate -d/dtheta((u2*w[q] + u1)*q) + source
+    on one sample row or a stack of rows: one forward transform of the flux
+    (stacked with the source when there is one)."""
+    flux = (u2 * interaction_values(grid, q, alpha) + u1) * q
+    if source is None:
+        return -grid._ik_first * np.fft.rfft(flux)
+    flux_hat, source_hat = np.fft.rfft(np.stack(np.broadcast_arrays(flux, source)))
+    return source_hat - grid._ik_first * flux_hat
 
 
 def warn_if_negative(data: FloatArray, what: str) -> None:
@@ -241,13 +246,15 @@ def warn_if_negative(data: FloatArray, what: str) -> None:
         )
 
 
-def required_dt(grid: CircleGrid, u1: FloatArray, u2: FloatArray) -> float:
+def required_dt(grid: CircleGrid, u1: FloatArray, u2: FloatArray) -> FloatArray:
     """Largest stable advective step: safety * dtheta / (max|u1| + max|u2|).
 
-    The coupling velocity satisfies |w[q]| <= 1 for a normalized density, so
-    max|u2| bounds the nonlocal transport speed.
+    u1 and u2 are (n_t+1, n_theta) histories or stacks of them; the maxima run
+    over each history, so a stack gets one step per history. The coupling
+    velocity satisfies |w[q]| <= 1 for a normalized density, so max|u2|
+    bounds the nonlocal transport speed.
     """
-    speed = float(np.max(np.abs(u1))) + float(np.max(np.abs(u2))) + 1e-12
+    speed = np.abs(u1).max(axis=(-2, -1)) + np.abs(u2).max(axis=(-2, -1)) + 1e-12
     return CFL_SAFETY * grid.d_theta / speed
 
 
@@ -256,28 +263,102 @@ def _lawson_heun(
     diffusion: float,
     dt: float,
     y0: FloatArray,
-    rate: Callable[[int, FloatArray], FloatArray],
+    rate: Callable[[int, FloatArray], tuple[NDArray[np.complex128], FloatArray | None]],
     rows: range,
     name: str,
+    lift: NDArray[np.complex128] | None = None,
 ) -> FloatArray:
-    """Heun on `rate` composed with the exact heat propagator, row by row.
+    """Heun on `rate` composed with the exact heat propagator P, carried in rfft space.
 
-    Starts from y0 at rows[0] and steps to each following row; rate(k, y)
-    evaluates the explicit part with the coefficients of row k. Returns the
-    (len(rows), n_theta) history indexed by row.
+    Starts from y0 (one sample row, or a stack of rows) at rows[0] and steps
+    to each following row. With y^ the rfft coefficients of the field, a step
+    from row a to row b is
+
+        pred = P (y^ + dt r1^),    y^ <- (P y^ + pred + dt r2^) / 2,
+
+    with r1^ the rate at row a on the field and r2^ the rate at row b on
+    pred. rate(k, x) takes the stage's sample values x and returns the rate's
+    rfft coefficients and, when it forms the rate in sample space, its sample
+    values (else None).
+
+    Without `lift`, x is the field itself and each new row is the inverse
+    transform of y^. With `lift` (the adjoint's ik, so that x = dp/dtheta),
+    x is the inverse transform of lift * y^, and the new row is
+    (P y + pred + dt r2) / 2 assembled in sample space, with P y^ + pred
+    transformed together with the stage-2 input. Either way a step makes four
+    FFT calls, and a solve one more: the transform of y0, which row rows[0]
+    stores exactly. Returns the rows along the second-to-last axis.
     """
+    n = grid.n_theta
     prop = grid.heat_multiplier(diffusion, dt)
-    data = np.empty((len(rows), grid.n_theta))
-    data[rows[0]] = y = y0
+    data = np.empty(y0.shape[:-1] + (len(rows), n))
+    data[..., rows[0], :] = y = y0
+    y_hat = np.fft.rfft(y0)
     for a, b in zip(rows[:-1], rows[1:]):
-        rate1 = rate(a, y)
-        y_prop = np.fft.irfft(prop * np.fft.rfft(y), n=grid.n_theta)
-        rate1_prop = np.fft.irfft(prop * np.fft.rfft(rate1), n=grid.n_theta)
-        rate2 = rate(b, y_prop + dt * rate1_prop)
-        y = y_prop + 0.5 * dt * (rate1_prop + rate2)
+        r1_hat, _ = rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n))
+        pred = prop * (y_hat + dt * r1_hat)
+        base = prop * y_hat + pred
+        if lift is None:
+            r2_hat, _ = rate(b, np.fft.irfft(pred, n=n))
+            y_hat = 0.5 * (base + dt * r2_hat)
+            y = np.fft.irfft(y_hat, n=n)
+        else:
+            x, h = np.fft.irfft(np.stack((lift * pred, base)), n=n)
+            r2_hat, r2 = rate(b, x)
+            y_hat = 0.5 * (base + dt * r2_hat)
+            y = 0.5 * (h + dt * r2)
         if not np.all(np.isfinite(y)):
             raise NumericsError(f"{name} became non-finite at step {b} (t={b * dt:.6g})")
-        data[b] = y
+        data[..., b, :] = y
+    return data
+
+
+def _solve_states(
+    q0: Field,
+    controls: dict[str, FloatArray],
+    params: CouplingParams,
+    tgrid: TimeGrid,
+) -> FloatArray:
+    """States from q0 under a stack of control histories.
+
+    `controls` maps control names to (B, n_t+1, n_theta) stacks or to one
+    (n_t+1, n_theta) history shared by the stack; absent controls keep their
+    baselines (no source term unless "source" is given). Returns the
+    (B, n_t+1, n_theta) states, or one (n_t+1, n_theta) state when no control
+    is stacked. Each history of the stack gets every check of solve_state.
+    """
+    grid = q0.grid
+    mass0 = grid.quad(q0.values)
+    if abs(mass0 - 1.0) > 1e-10:
+        raise ValueError(f"q0 must integrate to 1 (got {mass0:.12g})")
+    if float(q0.values.min()) < -1e-12:
+        raise ValueError("q0 must be nonnegative")
+
+    full = (tgrid.n_t + 1, grid.n_theta)
+    u1, u2 = (
+        controls[n] if n in controls else np.full(full, CONTROLS[n].baseline(params)) for n in ("u1", "u2")
+    )
+    src = controls.get("source")
+    dt = tgrid.dt
+    dt_max = float(np.min(required_dt(grid, u1, u2)))
+    if dt > dt_max:
+        raise CFLError(
+            f"dt={dt:.6g} violates the advective CFL limit; need dt <= {dt_max:.6g} "
+            f"(n_t >= {int(np.ceil(tgrid.T / dt_max))})"
+        )
+
+    def rate(k: int, q: FloatArray) -> tuple[NDArray[np.complex128], None]:
+        s = None if src is None else src[..., k, :]
+        return advective_rhs_values(grid, q, u1[..., k, :], u2[..., k, :], params.alpha, s), None
+
+    batch = np.broadcast_shapes(*(c.shape[:-2] for c in controls.values()))
+    y0 = np.broadcast_to(q0.values, batch + (grid.n_theta,))
+    data = _lawson_heun(grid, params.D, dt, y0, rate, range(tgrid.n_t + 1), "state")
+    warn_if_negative(data, "state")
+    if src is None:
+        drift = float(np.max(np.abs(grid.quad_rows(data) - mass0)))
+        if drift > 1e-8:
+            raise NumericsError(f"mass drifted by {drift:.3e} despite flux form")
     return data
 
 
@@ -295,60 +376,35 @@ def solve_state(
     Raises CFLError before stepping if dt exceeds the advective limit and
     NumericsError if the state goes non-finite mid-run.
     """
-    grid = q0.grid
-    mass0 = grid.quad(q0.values)
-    if abs(mass0 - 1.0) > 1e-10:
-        raise ValueError(f"q0 must integrate to 1 (got {mass0:.12g})")
-    if float(q0.values.min()) < -1e-12:
-        raise ValueError("q0 must be nonnegative")
-
-    u1a, u2a, srca = controls.resolve(grid, tgrid, params)
-    dt = tgrid.dt
-    dt_max = required_dt(grid, u1a, u2a)
-    if dt > dt_max:
-        raise CFLError(
-            f"dt={dt:.6g} violates the advective CFL limit; need dt <= {dt_max:.6g} "
-            f"(n_t >= {int(np.ceil(tgrid.T / dt_max))})"
-        )
-
-    has_source = controls.source is not None
-
-    def rate(k: int, q: FloatArray) -> FloatArray:
-        return advective_rhs_values(
-            grid, q, u1a[k], u2a[k], params.alpha, srca[k] if has_source else None
-        )
-
-    data = _lawson_heun(grid, params.D, dt, q0.values, rate, range(tgrid.n_t + 1), "state")
-    warn_if_negative(data, "state")
-    traj = Trajectory(grid, tgrid, data)
-    if not has_source:
-        drift = float(np.max(np.abs(traj.mass() - mass0)))
-        if drift > 1e-8:
-            raise NumericsError(f"mass drifted by {drift:.3e} despite flux form")
-    return traj
+    given = {
+        name: controls.array(name, q0.grid, tgrid, params)
+        for name in CONTROLS
+        if controls.get(name) is not None
+    }
+    return Trajectory(q0.grid, tgrid, _solve_states(q0, given, params, tgrid))
 
 
 def _adjoint_rate(
     grid: CircleGrid,
-    p: FloatArray,
+    dp: FloatArray,
     q: FloatArray,
     u1: FloatArray,
     u2: FloatArray,
     alpha: float,
     mismatch: FloatArray,
     alpha_r: float,
-) -> FloatArray:
-    """Backward-time rate of the adjoint (diffusion handled by the propagator).
+) -> tuple[NDArray[np.complex128], FloatArray]:
+    """Backward-time rate of the adjoint (diffusion handled by the propagator),
+    as rfft coefficients and as sample values.
 
     With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*mismatch.
     """
-    dp = grid.deriv(p)
     w_q = interaction_values(grid, q, alpha)
     rate = (u2 * w_q + u1) * dp
     rate += interaction_adjoint_values(grid, u2 * dp * q, alpha)
     if alpha_r != 0.0:
         rate += alpha_r * mismatch
-    return rate
+    return np.fft.rfft(rate), rate
 
 
 def solve_adjoint(
@@ -364,7 +420,8 @@ def solve_adjoint(
     The scheme mirrors solve_state in reversed time; Heun stages evaluate
     coefficients on the stored state rows at their exact times, so the
     running-mismatch source is accumulated with trapezoidal weights matching
-    the cost quadrature.
+    the cost quadrature. The rate needs only dp/dtheta, which the stepper
+    transforms back from the adjoint's coefficients times ik.
     """
     grid, tgrid = q_traj.grid, q_traj.tgrid
     if z_traj.grid != grid or z_traj.tgrid != tgrid:
@@ -374,9 +431,10 @@ def solve_adjoint(
     u1a, u2a, _ = controls.resolve(grid, tgrid, params)
     qd, zd = q_traj.data, z_traj.data
 
-    def rate(m: int, p: FloatArray) -> FloatArray:
-        return _adjoint_rate(grid, p, qd[m], u1a[m], u2a[m], params.alpha, qd[m] - zd[m], alpha_r)
+    def rate(m: int, dp: FloatArray) -> tuple[NDArray[np.complex128], FloatArray]:
+        return _adjoint_rate(grid, dp, qd[m], u1a[m], u2a[m], params.alpha, qd[m] - zd[m], alpha_r)
 
     p_end = alpha_t * (qd[-1] - zd[-1])
-    data = _lawson_heun(grid, params.D, tgrid.dt, p_end, rate, range(tgrid.n_t, -1, -1), "adjoint")
+    rows = range(tgrid.n_t, -1, -1)
+    data = _lawson_heun(grid, params.D, tgrid.dt, p_end, rate, rows, "adjoint", lift=grid._ik_first)
     return Trajectory(grid, tgrid, data)

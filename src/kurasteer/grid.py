@@ -70,12 +70,8 @@ class CircleGrid:
     # -- array-level operators (hot path) --
 
     def deriv(self, values: FloatArray) -> FloatArray:
-        """Spectral d/dtheta of one sample row."""
+        """Spectral d/dtheta of one sample row, or of every row of a stack."""
         return np.fft.irfft(self._ik_first * np.fft.rfft(values), n=self.n_theta)
-
-    def deriv_rows(self, rows: FloatArray) -> FloatArray:
-        """Spectral d/dtheta applied to every row of a stacked array."""
-        return np.fft.irfft(self._ik_first[None, :] * np.fft.rfft(rows, axis=1), n=self.n_theta, axis=1)
 
     def quad(self, values: FloatArray) -> float:
         """Integral over the circle (rectangle rule on the periodic grid)."""

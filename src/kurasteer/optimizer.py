@@ -41,6 +41,7 @@ from .dynamics import (
     ResolutionWarning,
     TimeGrid,
     Trajectory,
+    _solve_states,
     solve_adjoint,
     solve_state,
     warn_if_negative,
@@ -155,13 +156,18 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of optimize; sync_series(result.state) gives its R, psi and mass."""
+    """Outcome of optimize; sync_series(result.state) gives its R, psi and mass.
+
+    `uncontrolled` is the state under the baseline controls when the descent
+    started there (its first iterate), else None.
+    """
 
     status: str
     iterates: tuple[IterationRecord, ...]
     controls: ControlSet
     state: Trajectory
     adjoint: Trajectory
+    uncontrolled: Trajectory | None = None
 
     @property
     def final(self) -> IterationRecord:
@@ -241,6 +247,22 @@ def _evaluate(
     return cs, q, cost(q, problem.target, cs, problem.weights, problem.mode, problem.params)
 
 
+def _probe_costs(problem: OcpProblem, u: dict[str, FloatArray]) -> FloatArray:
+    """Cost J at each control history of the stacks u (name -> (B, n_t+1,
+    n_theta)), from one batched state solve; ResolutionWarning is silenced
+    as in _evaluate."""
+    grid, tgrid = problem.grid, problem.tgrid
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        states = _solve_states(problem.q0, u, problem.params, tgrid)
+    costs = []
+    for i, q in enumerate(states):
+        cs = _control_set({n: arr[i] for n, arr in u.items()}, grid, tgrid)
+        q_traj = Trajectory(grid, tgrid, q)
+        costs.append(cost(q_traj, problem.target, cs, problem.weights, problem.mode, problem.params)[0])
+    return np.array(costs)
+
+
 def cost(
     q_traj: Trajectory,
     z_traj: Trajectory,
@@ -280,7 +302,7 @@ def reduced_gradient(
 ) -> dict[str, FloatArray]:
     """Space-time gradient arrays for every active control of the mode."""
     grid, tgrid = q_traj.grid, q_traj.tgrid
-    dp = grid.deriv_rows(p_traj.data)
+    dp = grid.deriv(p_traj.data)
     out: dict[str, FloatArray] = {}
     for name in mode.active_controls:
         spec = CONTROLS[name]
@@ -347,6 +369,8 @@ def optimize(problem: OcpProblem) -> OptResult:
 
     u = _baseline_arrays(problem)
     cs, q_traj, (j, j_q, j_u) = _evaluate(problem, u)
+    at_baseline = all(np.all(arr == CONTROLS[n].baseline(params)) for n, arr in u.items())
+    uncontrolled = q_traj if at_baseline else None
     p_traj = solve_adjoint(q_traj, problem.target, cs, params, (weights.alpha_r, weights.alpha_t))
 
     records: list[IterationRecord] = []
@@ -404,6 +428,7 @@ def optimize(problem: OcpProblem) -> OptResult:
         controls=cs,
         state=q_traj,
         adjoint=p_traj,
+        uncontrolled=uncontrolled,
     )
 
 
@@ -464,7 +489,8 @@ def gradient_check(
 
     For each random band-limited direction, the adjoint value <grad J, delta>
     is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) over a
-    sweep of decreasing eps. A direction passes when the relative error at
+    sweep of decreasing eps. The probes u +- eps*delta of one direction and
+    sign are solved as one batch. A direction passes when the relative error at
     the smallest eps is at most GRADCHECK_TOL: there the truncation error is
     negligible, so what remains is the O(dt) mismatch between the adjoint
     gradient and the derivative of the discrete cost, which a wrong gradient
@@ -480,9 +506,6 @@ def gradient_check(
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
     mode, weights = problem.mode, problem.weights
     rng = np.random.default_rng(seed)
-
-    def evaluate(u: dict[str, FloatArray]) -> float:
-        return _evaluate(problem, u)[2][0]
 
     u0 = _baseline_arrays(problem)
     cs0, q0_traj, (j0, _, _) = _evaluate(problem, u0)
@@ -512,12 +535,11 @@ def gradient_check(
     checks = []
     for _ in range(n_directions):
         delta, g_adj = draw_direction()
-        fd = []
-        for eps in eps_sweep:
-            j_plus = evaluate({n: u0[n] + eps * delta[n] for n in u0})
-            j_minus = evaluate({n: u0[n] - eps * delta[n] for n in u0})
-            fd.append((j_plus - j_minus) / (2.0 * eps))
-        fd_arr = np.asarray(fd)
+        j_plus, j_minus = (
+            _probe_costs(problem, {n: u0[n] + sign * eps_sweep[:, None, None] * delta[n] for n in u0})
+            for sign in (1.0, -1.0)
+        )
+        fd_arr = (j_plus - j_minus) / (2.0 * eps_sweep)
         if max(abs(g_adj), float(np.max(np.abs(fd_arr)))) <= zero_floor:
             # stationary direction: adjoint and FD agree on a zero derivative
             rel_arr, imin = np.zeros(len(eps_sweep)), len(eps_sweep) - 1

@@ -11,6 +11,12 @@ from .grid import TWO_PI, CircleGrid, Field
 
 N_WRAPS = 12  # wrapped-Gaussian image terms; plenty for sigma up to ~2 rad
 NORMALIZATION_TOL = 1e-12
+KIND_KEYS = {  # the keys of a density spec besides "kind", per kind
+    "uniform": (),
+    "wrapped_gaussian": ("mean", "sigma"),
+    "mixture": ("components",),
+    "from_file": ("path",),
+}
 
 
 def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float) -> np.ndarray:
@@ -21,6 +27,12 @@ def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float) -> np.n
     for m in range(-N_WRAPS, N_WRAPS + 1):
         acc += np.exp(-0.5 * ((th - mean + TWO_PI * m) / sigma) ** 2)
     return acc / (sigma * np.sqrt(TWO_PI))
+
+
+def _reject_unused(spec: dict, keys: set[str], what: str) -> None:
+    unused = sorted(set(spec) - keys)
+    if unused:
+        raise ValueError(f"{what} does not use {', '.join(map(repr, unused))}")
 
 
 @dataclass(frozen=True)
@@ -40,11 +52,16 @@ class DensitySpec:
     @classmethod
     def from_dict(cls, d: dict) -> "DensitySpec":
         kind = d.get("kind")
+        if not isinstance(kind, str) or kind not in KIND_KEYS:
+            raise ValueError(f"unknown density kind {kind!r}")
+        _reject_unused(d, {"kind", *KIND_KEYS[kind]}, f"density kind {kind!r}")
         if kind == "uniform":
             return cls(kind="uniform")
         if kind == "wrapped_gaussian":
             return cls(kind=kind, mean=float(d["mean"]), sigma=float(d["sigma"]))
         if kind == "mixture":
+            for c in d["components"]:
+                _reject_unused(c, {"weight", "mean", "sigma"}, "a mixture component")
             comps = tuple(
                 (float(c["weight"]), float(c["mean"]), float(c["sigma"]))
                 for c in d["components"]
@@ -52,9 +69,7 @@ class DensitySpec:
             if not comps:
                 raise ValueError("mixture needs at least one component")
             return cls(kind=kind, components=comps)
-        if kind == "from_file":
-            return cls(kind=kind, path=str(d["path"]))
-        raise ValueError(f"unknown density kind {kind!r}")
+        return cls(kind=kind, path=str(d["path"]))
 
     def build(self, grid: CircleGrid) -> Field:
         if self.kind == "uniform":

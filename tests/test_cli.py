@@ -57,6 +57,31 @@ class TestConfig:
         assert cfg["scenario"]["q0"] == {"kind": "uniform"}
         assert cfg["scenario"]["target"] == {**DEFAULT_CONFIG["scenario"]["target"], "sigma": 0.5}
 
+    def test_section_object_override_merges(self, tmp_path):
+        cfg = load_config(None, ['physics={"D":0.1}'])
+        assert cfg["physics"] == {**DEFAULT_CONFIG["physics"], "D": 0.1}
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), *FAST, "--set", 'physics={"D":0.1}']) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["physics"] == {**DEFAULT_CONFIG["physics"], "D": 0.1}
+
+    def test_section_object_override_unknown_key(self, tmp_path, capsys):
+        bad = 'physics={"D":0.1,"alpha":0,"K":1,"typo":5}'
+        code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", bad])
+        assert code == 1
+        assert "physics.typo" in capsys.readouterr().err
+
+    def test_section_replaced_by_non_object_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", "physics=5"])
+        assert code == 1
+        assert "physics" in capsys.readouterr().err
+
+    def test_unused_density_key_hard_error(self, tmp_path, capsys):
+        spec = 'scenario.q0={"kind":"uniform","sigma":9}'
+        code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", spec])
+        assert code == 1
+        assert "sigma" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "override, field",
         [

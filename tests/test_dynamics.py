@@ -3,6 +3,7 @@ import pytest
 
 from kurasteer import (
     CFLError,
+    NumericsError,
     CircleGrid,
     ControlSet,
     CouplingParams,
@@ -15,10 +16,15 @@ from kurasteer import (
     solve_state,
     sync_series,
 )
-from kurasteer.dynamics import _adjoint_rate, advective_rhs_values
+from kurasteer.dynamics import _adjoint_rate, _solve_states, advective_rhs_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
+
+
+def rate_values(grid, coefficients):
+    """Sample values of a rate given by its rfft coefficients."""
+    return np.fft.irfft(coefficients, n=grid.n_theta)
 
 
 def gaussian_q0(grid, mean=np.pi / 2, sigma=0.8):
@@ -63,21 +69,21 @@ class TestStateRhs:
         q = np.full(grid.n_theta, 1 / (2 * np.pi))
         u1 = np.full(grid.n_theta, 0.7)
         u2 = np.full(grid.n_theta, params.K)
-        rhs = advective_rhs_values(grid, q, u1, u2, params.alpha, np.zeros(grid.n_theta))
+        rhs = rate_values(grid, advective_rhs_values(grid, q, u1, u2, params.alpha, np.zeros(grid.n_theta)))
         assert np.max(np.abs(rhs)) <= 1e-12
 
     def test_pure_source(self, grid, params):
         q = np.full(grid.n_theta, 1 / (2 * np.pi))
         zero = np.zeros(grid.n_theta)
         src = np.sin(2 * grid.theta)
-        rhs = advective_rhs_values(grid, q, zero, zero, params.alpha, src)
+        rhs = rate_values(grid, advective_rhs_values(grid, q, zero, zero, params.alpha, src))
         assert np.max(np.abs(rhs - src)) <= 1e-14
 
     def test_matches_quadrature_oracle(self, grid, params, cosine_density):
         # -(d/dtheta)(w[q] q) with w from the O(n^2) oracle and spectral derivative
         q = cosine_density
         zero = np.zeros(grid.n_theta)
-        rhs = advective_rhs_values(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero)
+        rhs = rate_values(grid, advective_rhs_values(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero))
         w_oracle = interaction_field_quadrature(q, params.alpha)
         expected = -grid.deriv(w_oracle.values * q.values)
         assert np.max(np.abs(rhs - expected)) <= 1e-10
@@ -168,13 +174,15 @@ class TestAdjoint:
         u1 = np.full(grid.n_theta, 0.3)
         u2 = np.ones(grid.n_theta)
         mismatch = np.cos(grid.theta)
-        out = _adjoint_rate(grid, p, q, u1, u2, params.alpha, mismatch, alpha_r=2.0)
+        out_hat, out = _adjoint_rate(grid, grid.deriv(p), q, u1, u2, params.alpha, mismatch, alpha_r=2.0)
         assert np.max(np.abs(out - 2.0 * mismatch)) <= 1e-12
+        assert np.max(np.abs(rate_values(grid, out_hat) - out)) <= 1e-12
 
     def test_zero_everywhere(self, grid, params):
         zero = np.zeros(grid.n_theta)
-        out = _adjoint_rate(grid, zero, zero, zero, zero, params.alpha, zero, alpha_r=1.0)
+        out_hat, out = _adjoint_rate(grid, zero, zero, zero, zero, params.alpha, zero, alpha_r=1.0)
         assert np.max(np.abs(out)) <= 1e-15
+        assert np.max(np.abs(out_hat)) <= 1e-15
 
     def test_duality_spot_check(self, grid, params, rng):
         # <w*[u2 p' q], psi> == <w[psi], u2 p' q> for random band-limited fields
@@ -217,11 +225,77 @@ class TestAdjoint:
         q = random_bandlimited(grid, rng).values
         mis = random_bandlimited(grid, rng).values
         ones = np.ones(grid.n_theta)
-        general = _adjoint_rate(grid, p, q, 0.0 * ones, ones, 0.0, mis, 1.0)
         dp = grid.deriv(p)
+        _, general = _adjoint_rate(grid, dp, q, 0.0 * ones, ones, 0.0, mis, 1.0)
         reduced = (
             interaction_values(grid, q, 0.0) * dp
             - interaction_values(grid, q * dp, 0.0)
             + mis
         )
         assert np.max(np.abs(general - reduced)) <= 1e-12
+
+
+class TestBatchedStepper:
+    """The rfft-space stepper on a stack of control histories."""
+
+    @staticmethod
+    def stacked_controls(grid, tg, rng, n_probes):
+        """u1, u2 and source stacks of smooth space-time histories."""
+        ramp = np.cos(np.pi * tg.times / tg.T)[:, None]
+
+        def history(scale, offset=0.0):
+            return offset + scale * ramp * random_bandlimited(grid, rng, k_max=4).values[None, :]
+
+        return {
+            "u1": np.stack([history(0.3) for _ in range(n_probes)]),
+            "u2": np.stack([history(0.2, 1.0) for _ in range(n_probes)]),
+            "source": np.stack([history(0.05) for _ in range(n_probes)]),
+        }
+
+    def test_batch_matches_single_solves(self, coarse_grid, rng):
+        grid, tg = coarse_grid, TimeGrid(1.0, 200)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
+        q0 = gaussian_q0(grid)
+        controls = self.stacked_controls(grid, tg, rng, 4)
+        batch = _solve_states(q0, controls, params, tg)
+        assert batch.shape == (4, tg.n_t + 1, grid.n_theta)
+        for i in range(4):
+            cs = ControlSet(**{n: Trajectory(grid, tg, arr[i]) for n, arr in controls.items()})
+            single = solve_state(q0, cs, params, tg).data
+            assert np.max(np.abs(batch[i] - single)) <= 1e-13
+            assert np.array_equal(batch[i, 0], q0.values)
+
+    def test_one_cfl_violating_probe_rejects_the_batch(self, coarse_grid, rng):
+        grid, tg = coarse_grid, TimeGrid(1.0, 200)
+        controls = self.stacked_controls(grid, tg, rng, 3)
+        controls["u1"][1] *= 200.0
+        with pytest.raises(CFLError, match="need dt <="):
+            _solve_states(gaussian_q0(grid), controls, CouplingParams(), tg)
+
+    def test_non_finite_probe_raises(self, coarse_grid, rng):
+        grid, tg = coarse_grid, TimeGrid(1.0, 200)
+        controls = self.stacked_controls(grid, tg, rng, 3)
+        controls["source"][2, 5, 7] = np.inf  # first used by the stage-2 rate of step 5
+        with pytest.raises(NumericsError, match="state became non-finite at step 5"), np.errstate(invalid="ignore"):
+            _solve_states(gaussian_q0(grid), controls, CouplingParams(), tg)
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_four_fft_calls_per_step(self, coarse_grid, monkeypatch, with_source):
+        grid, tg, params = coarse_grid, TimeGrid(1.0, 200), CouplingParams()
+        src = Trajectory.constant(grid, tg, 0.01) if with_source else None
+        controls = ControlSet(u1=Trajectory.constant(grid, tg, 0.2), source=src)
+        z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        q = solve_state(gaussian_q0(grid), controls, params, tg)
+        assert sum(calls.values()) <= 4 * tg.n_t + 1
+        calls.update(rfft=0, irfft=0)
+        solve_adjoint(q, z, controls, params, (1.0, 10.0))
+        assert sum(calls.values()) <= 4 * tg.n_t + 1

@@ -22,7 +22,14 @@ from kurasteer import (
 )
 from kurasteer.checks import check_gradients
 from kurasteer.config import RunConfig, load_config
-from kurasteer.optimizer import _advective_caps, _baseline_arrays, shape_project, space_time_inner
+from kurasteer import optimizer
+from kurasteer.optimizer import (
+    _advective_caps,
+    _baseline_arrays,
+    _evaluate,
+    shape_project,
+    space_time_inner,
+)
 from kurasteer.scenarios import DensitySpec
 
 TWO_PI = 2 * np.pi
@@ -310,6 +317,35 @@ class TestGradientCheck:
             self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0, bias=1e-3
         )
         assert not report.passed
+
+    @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
+    def test_batched_differences_match_probe_by_probe(self, mode, monkeypatch):
+        # each direction and sign is one batched solve of the probes u0 +- eps*delta;
+        # its differences agree with solving the probes one at a time
+        problem = self.make_problem(mode)
+        batches, batched_costs = [], optimizer._probe_costs
+
+        def spy(prob, u):
+            costs = batched_costs(prob, u)
+            batches.append((u, costs))
+            return costs
+
+        monkeypatch.setattr(optimizer, "_probe_costs", spy)
+        report = gradient_check(problem, n_directions=1, seed=2)
+        (u_plus, j_plus), (u_minus, j_minus) = batches
+        check = report.directions[0]
+        eps = np.asarray(check.eps)
+        u0 = _baseline_arrays(problem)
+        for name in u0:
+            assert np.array_equal(u_plus[name] - u0[name], u0[name] - u_minus[name])
+        fd_batch = (j_plus - j_minus) / (2.0 * eps)
+        for i, e in enumerate(eps):
+            j_p = _evaluate(problem, {n: arr[i] for n, arr in u_plus.items()})[2][0]
+            j_m = _evaluate(problem, {n: arr[i] for n, arr in u_minus.items()})[2][0]
+            fd_single = (j_p - j_m) / (2.0 * e)
+            assert abs(fd_batch[i] - fd_single) <= 1e-9 * abs(fd_single)
+        rel = np.abs(fd_batch - check.adjoint_value) / abs(check.adjoint_value)
+        assert np.array_equal(rel, np.asarray(check.rel_errors))
 
     def test_default_check_problem_seed1_passes(self):
         # interaction direction 3 is most accurate at the largest eps and then

@@ -65,6 +65,19 @@ class TestDensitySpec:
         with pytest.raises(ValueError):
             DensitySpec.from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "uniform", "sigma": 9}, "sigma"),
+            ({"kind": "wrapped_gaussian", "mean": 0.0, "sigma": 0.4, "path": "q.f64"}, "path"),
+            ({"kind": "from_file", "path": "q.f64", "components": []}, "components"),
+            ({"kind": "mixture", "components": [{"weight": 1, "mean": 0, "sigma": 0.3, "mu": 1}]}, "mu"),
+        ],
+    )
+    def test_unused_keys_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=key):
+            DensitySpec.from_dict(spec)
+
     def test_nonpositive_sigma_rejected(self, grid):
         with pytest.raises(ValueError):
             DensitySpec(kind="wrapped_gaussian", mean=0.0, sigma=0.0).build(grid)
