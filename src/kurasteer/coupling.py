@@ -67,26 +67,29 @@ def order_parameter(q: Field) -> PolarOrder:
     return PolarOrder(R=float(np.hypot(c_c, c_s)), psi=float(np.arctan2(c_s, c_c)) % TWO_PI)
 
 
+def lagged_basis(grid: CircleGrid, alpha: float) -> tuple[FloatArray, FloatArray]:
+    """cos(theta + alpha) and sin(theta + alpha): the kernel is
+    sin(theta' - theta - alpha) = sin(theta')*cos(theta + alpha) - cos(theta')*sin(theta + alpha)."""
+    shifted = grid.theta + alpha
+    return np.cos(shifted), np.sin(shifted)
+
+
 def interaction_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
     """Transport velocity from the sine coupling, evaluated via moments.
 
     Equals the integral of sin(theta' - theta - alpha) against the sample;
     with moments (C_c, C_s) this is C_s*cos(theta+alpha) - C_c*sin(theta+alpha).
-    Accepts one row or a stack of rows, like moments_values.
+    Accepts one row or a stack of rows of any depth, like moments_values.
     """
     c_c, c_s = moments_values(grid, values)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    a, b = c_s * ca - c_c * sa, c_c * ca + c_s * sa
-    if values.ndim == 2:
-        a, b = a[:, None], b[:, None]
-    return a * grid.cos_theta - b * grid.sin_theta
+    cos_a, sin_a = lagged_basis(grid, alpha)
+    return c_s[..., None] * cos_a - c_c[..., None] * sin_a
 
 
 def interaction_adjoint_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
-    """Transposed coupling: integral of sin(theta - theta' - alpha) against the sample."""
-    c_c, c_s = moments_values(grid, values)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return -(c_c * sa + c_s * ca) * grid.cos_theta + (c_c * ca - c_s * sa) * grid.sin_theta
+    """Transposed coupling: integral of sin(theta - theta' - alpha) against the
+    sample, which is minus the coupling with lag -alpha."""
+    return -interaction_values(grid, values, -alpha)
 
 
 def interaction_field(q: Field, alpha: float = 0.0) -> Field:

@@ -15,8 +15,11 @@ method carried in rfft space, with four FFT calls per step. Diffusion is
 therefore unconditionally stable and mass-exact; the explicit part is
 nonstiff because the coupling velocity w is bounded by the density mass. The
 adjoint runs the mirrored scheme in reversed time, reusing stored state rows
-at the exact stage times. The state solver also takes a stack of control
-histories and integrates them together.
+at the exact stage times. What does not depend on the stepped field (the
+products of control, state and target histories, the coupling tables, the
+scalar and mode factors) is computed once per solve, and absent controls
+stay scalars. The state solver also takes a stack of control histories and
+integrates them together.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .coupling import CouplingParams, interaction_adjoint_values, interaction_values
+from .coupling import CouplingParams, interaction_values, lagged_basis, moments_values
 from .grid import CircleGrid, Field, FloatArray
 
 CFL_SAFETY = 0.5
@@ -199,40 +202,65 @@ class ControlSet:
     def get(self, name: str) -> Trajectory | None:
         return getattr(self, name)
 
-    def array(
+    def value(
         self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
-    ) -> FloatArray:
-        """Concrete (n_t+1, n_theta) history of one control."""
+    ) -> FloatArray | float:
+        """(n_t+1, n_theta) history of one control, or its scalar baseline when absent."""
         traj = self.get(name)
         if traj is None:
-            return np.full((tgrid.n_t + 1, grid.n_theta), CONTROLS[name].baseline(params))
+            return CONTROLS[name].baseline(params)
         if traj.grid != grid or traj.tgrid != tgrid:
             raise ValueError(f"control '{name}' is not on the solver grid")
         return traj.data
 
-    def resolve(
-        self, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
-    ) -> tuple[FloatArray, FloatArray, FloatArray]:
-        """Concrete (n_t+1, n_theta) arrays for u1, u2, source."""
-        return tuple(self.array(name, grid, tgrid, params) for name in CONTROLS)
+    def array(
+        self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
+    ) -> FloatArray:
+        """Concrete (n_t+1, n_theta) history of one control."""
+        value = self.value(name, grid, tgrid, params)
+        return np.full((tgrid.n_t + 1, grid.n_theta), value) if np.ndim(value) == 0 else value
 
 
-def advective_rhs_values(
+def _state_rate(
     grid: CircleGrid,
-    q: FloatArray,
-    u1: FloatArray,
-    u2: FloatArray,
     alpha: float,
-    source: FloatArray | None = None,
-) -> NDArray[np.complex128]:
-    """rfft coefficients of the non-diffusive rate -d/dtheta((u2*w[q] + u1)*q) + source
-    on one sample row or a stack of rows: one forward transform of the flux
-    (stacked with the source when there is one)."""
-    flux = (u2 * interaction_values(grid, q, alpha) + u1) * q
-    if source is None:
-        return -grid._ik_first * np.fft.rfft(flux)
-    flux_hat, source_hat = np.fft.rfft(np.stack(np.broadcast_arrays(flux, source)))
-    return source_hat - grid._ik_first * flux_hat
+    u1: FloatArray | None,
+    u2: FloatArray | float,
+    source: FloatArray | None,
+    gains: tuple[tuple[NDArray[np.complex128], float | FloatArray], ...],
+) -> Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], None]]:
+    """Stage increments of the state's non-diffusive rate
+    -d/dtheta((u2*w[q] + u1)*q) + source, on one sample row or a stack of rows.
+
+    u1 and source are histories (time on the second-to-last axis, optionally
+    stacked) or None when absent, which adds no term; u2 is a history, a stack
+    or a scalar. Since w[q] = C_s*cos(theta+alpha) - C_c*sin(theta+alpha) with
+    (C_c, C_s) the moments of q, u2 is folded once into the coupling tables
+    u2*cos(theta+alpha) and u2*sin(theta+alpha), rows when u2 is a scalar.
+    rate(k, q, stage) returns g_f*flux^ + g_s*source^ at row k, with
+    (g_f, g_s) = gains[stage] and one forward transform of the flux (stacked
+    with the source when there is one).
+    """
+    cos_a, sin_a = lagged_basis(grid, alpha)
+    cos_table, sin_table = u2 * cos_a, u2 * sin_a
+    fixed = np.ndim(u2) == 0
+
+    def rate(k: int, q: FloatArray, stage: int) -> tuple[NDArray[np.complex128], None]:
+        c_c, c_s = moments_values(grid, q)
+        cos_k, sin_k = (cos_table, sin_table) if fixed else (cos_table[..., k, :], sin_table[..., k, :])
+        speed = c_s[..., None] * cos_k - c_c[..., None] * sin_k
+        if u1 is not None:
+            speed += u1[..., k, :]
+        flux_gain, source_gain = gains[stage]
+        if source is None:
+            return flux_gain * np.fft.rfft(speed * q), None
+        pair = np.empty((2,) + speed.shape)
+        np.multiply(speed, q, out=pair[0])
+        pair[1] = source[..., k, :]
+        flux_hat, source_hat = np.fft.rfft(pair)
+        return flux_gain * flux_hat + source_gain * source_hat, None
+
+    return rate
 
 
 def warn_if_negative(data: FloatArray, what: str) -> None:
@@ -246,68 +274,75 @@ def warn_if_negative(data: FloatArray, what: str) -> None:
         )
 
 
-def required_dt(grid: CircleGrid, u1: FloatArray, u2: FloatArray) -> FloatArray:
+def required_dt(grid: CircleGrid, u1: FloatArray | float, u2: FloatArray | float) -> FloatArray:
     """Largest stable advective step: safety * dtheta / (max|u1| + max|u2|).
 
-    u1 and u2 are (n_t+1, n_theta) histories or stacks of them; the maxima run
-    over each history, so a stack gets one step per history. The coupling
-    velocity satisfies |w[q]| <= 1 for a normalized density, so max|u2|
-    bounds the nonlocal transport speed.
+    u1 and u2 are (n_t+1, n_theta) histories, stacks of them, or scalar
+    baselines; the maxima run over each history, so a stack gets one step per
+    history. The coupling velocity satisfies |w[q]| <= 1 for a normalized
+    density, so max|u2| bounds the nonlocal transport speed.
     """
-    speed = np.abs(u1).max(axis=(-2, -1)) + np.abs(u2).max(axis=(-2, -1)) + 1e-12
+
+    def peak(u: FloatArray | float) -> FloatArray | float:
+        return np.abs(u).max(axis=(-2, -1)) if np.ndim(u) else abs(u)
+
+    speed = peak(u1) + peak(u2) + 1e-12
     return CFL_SAFETY * grid.d_theta / speed
 
 
 def _lawson_heun(
-    grid: CircleGrid,
-    diffusion: float,
+    prop: FloatArray,
     dt: float,
     y0: FloatArray,
-    rate: Callable[[int, FloatArray], tuple[NDArray[np.complex128], FloatArray | None]],
+    rate: Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], FloatArray | None]],
     rows: range,
     name: str,
     lift: NDArray[np.complex128] | None = None,
 ) -> FloatArray:
-    """Heun on `rate` composed with the exact heat propagator P, carried in rfft space.
+    """Heun on a rate composed with the exact heat propagator P, carried in rfft space.
 
     Starts from y0 (one sample row, or a stack of rows) at rows[0] and steps
     to each following row. With y^ the rfft coefficients of the field, a step
     from row a to row b is
 
-        pred = P (y^ + dt r1^),    y^ <- (P y^ + pred + dt r2^) / 2,
+        pred = P y^ + dt P r1^,    y^ <- (P y^ + pred) / 2 + (dt/2) r2^,
 
     with r1^ the rate at row a on the field and r2^ the rate at row b on
-    pred. rate(k, x) takes the stage's sample values x and returns the rate's
-    rfft coefficients and, when it forms the rate in sample space, its sample
-    values (else None).
+    pred. rate(k, x, stage) takes the stage's sample values x and returns the
+    stage's increment, dt*P*r1^ for stage 0 and (dt/2)*r2^ for stage 1, so
+    that the solver folds every scalar and mode factor into multipliers made
+    once per solve; with `lift` it also returns the stage-1 increment's
+    sample values (else None).
 
     Without `lift`, x is the field itself and each new row is the inverse
     transform of y^. With `lift` (the adjoint's ik, so that x = dp/dtheta),
-    x is the inverse transform of lift * y^, and the new row is
-    (P y + pred + dt r2) / 2 assembled in sample space, with P y^ + pred
-    transformed together with the stage-2 input. Either way a step makes four
+    x is the inverse transform of lift * y^, and the new row is assembled in
+    sample space from the inverse transform of (P y^ + pred) / 2, stacked
+    with the stage-2 input, plus the increment. Either way a step makes four
     FFT calls, and a solve one more: the transform of y0, which row rows[0]
     stores exactly. Returns the rows along the second-to-last axis.
     """
-    n = grid.n_theta
-    prop = grid.heat_multiplier(diffusion, dt)
+    n = y0.shape[-1]
     data = np.empty(y0.shape[:-1] + (len(rows), n))
     data[..., rows[0], :] = y = y0
     y_hat = np.fft.rfft(y0)
     for a, b in zip(rows[:-1], rows[1:]):
-        r1_hat, _ = rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n))
-        pred = prop * (y_hat + dt * r1_hat)
-        base = prop * y_hat + pred
+        p_y = prop * y_hat
+        pred = p_y + rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n), 0)[0]
         if lift is None:
-            r2_hat, _ = rate(b, np.fft.irfft(pred, n=n))
-            y_hat = 0.5 * (base + dt * r2_hat)
+            half = 0.5 * (p_y + pred)
+            y_hat = half + rate(b, np.fft.irfft(pred, n=n), 1)[0]
             y = np.fft.irfft(y_hat, n=n)
         else:
-            x, h = np.fft.irfft(np.stack((lift * pred, base)), n=n)
-            r2_hat, r2 = rate(b, x)
-            y_hat = 0.5 * (base + dt * r2_hat)
-            y = 0.5 * (h + dt * r2)
-        if not np.all(np.isfinite(y)):
+            pair = np.empty((2,) + pred.shape, dtype=pred.dtype)
+            np.multiply(lift, pred, out=pair[0])
+            half = np.add(p_y, pred, out=pair[1])
+            half *= 0.5
+            x, h = np.fft.irfft(pair, n=n)
+            inc_hat, inc = rate(b, x, 1)
+            y_hat = half + inc_hat
+            y = h + inc
+        if not np.isfinite(y).all():
             raise NumericsError(f"{name} became non-finite at step {b} (t={b * dt:.6g})")
         data[..., b, :] = y
     return data
@@ -323,9 +358,10 @@ def _solve_states(
 
     `controls` maps control names to (B, n_t+1, n_theta) stacks or to one
     (n_t+1, n_theta) history shared by the stack; absent controls keep their
-    baselines (no source term unless "source" is given). Returns the
+    baselines as scalars (no u1 or source term unless given). Returns the
     (B, n_t+1, n_theta) states, or one (n_t+1, n_theta) state when no control
-    is stacked. Each history of the stack gets every check of solve_state.
+    is stacked. Each history of the stack gets every check of solve_state but
+    the negativity warning, which solve_state issues for its caller.
     """
     grid = q0.grid
     mass0 = grid.quad(q0.values)
@@ -334,27 +370,23 @@ def _solve_states(
     if float(q0.values.min()) < -1e-12:
         raise ValueError("q0 must be nonnegative")
 
-    full = (tgrid.n_t + 1, grid.n_theta)
-    u1, u2 = (
-        controls[n] if n in controls else np.full(full, CONTROLS[n].baseline(params)) for n in ("u1", "u2")
-    )
-    src = controls.get("source")
+    u1, src = controls.get("u1"), controls.get("source")  # absent: their baseline 0, no term
+    u2 = controls.get("u2", CONTROLS["u2"].baseline(params))
     dt = tgrid.dt
-    dt_max = float(np.min(required_dt(grid, u1, u2)))
+    dt_max = float(np.min(required_dt(grid, 0.0 if u1 is None else u1, u2)))
     if dt > dt_max:
         raise CFLError(
             f"dt={dt:.6g} violates the advective CFL limit; need dt <= {dt_max:.6g} "
             f"(n_t >= {int(np.ceil(tgrid.T / dt_max))})"
         )
 
-    def rate(k: int, q: FloatArray) -> tuple[NDArray[np.complex128], None]:
-        s = None if src is None else src[..., k, :]
-        return advective_rhs_values(grid, q, u1[..., k, :], u2[..., k, :], params.alpha, s), None
-
+    prop = grid.heat_multiplier(params.D, dt)
+    slope = -grid._ik_first  # the rate is -d/dtheta of the flux
+    gains = ((dt * prop * slope, dt * prop), (0.5 * dt * slope, 0.5 * dt))
+    rate = _state_rate(grid, params.alpha, u1, u2, src, gains)
     batch = np.broadcast_shapes(*(c.shape[:-2] for c in controls.values()))
     y0 = np.broadcast_to(q0.values, batch + (grid.n_theta,))
-    data = _lawson_heun(grid, params.D, dt, y0, rate, range(tgrid.n_t + 1), "state")
-    warn_if_negative(data, "state")
+    data = _lawson_heun(prop, dt, y0, rate, range(tgrid.n_t + 1), "state")
     if src is None:
         drift = float(np.max(np.abs(grid.quad_rows(data) - mass0)))
         if drift > 1e-8:
@@ -381,30 +413,58 @@ def solve_state(
         for name in CONTROLS
         if controls.get(name) is not None
     }
-    return Trajectory(q0.grid, tgrid, _solve_states(q0, given, params, tgrid))
+    data = _solve_states(q0, given, params, tgrid)
+    warn_if_negative(data, "state")
+    return Trajectory(q0.grid, tgrid, data)
 
 
 def _adjoint_rate(
     grid: CircleGrid,
-    dp: FloatArray,
-    q: FloatArray,
-    u1: FloatArray,
-    u2: FloatArray,
     alpha: float,
-    mismatch: FloatArray,
+    q: FloatArray,
+    z: FloatArray,
+    u1: FloatArray | float,
+    u2: FloatArray | float,
     alpha_r: float,
-) -> tuple[NDArray[np.complex128], FloatArray]:
-    """Backward-time rate of the adjoint (diffusion handled by the propagator),
-    as rfft coefficients and as sample values.
+    scale: float,
+    gains: tuple[NDArray[np.complex128] | None, ...],
+) -> Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], FloatArray]]:
+    """Stage increments of the adjoint's backward-time rate (diffusion handled
+    by the propagator), as rfft coefficients and as sample values.
 
-    With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*mismatch.
+    With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*(q - z).
+    q and z are histories, u1 and u2 histories or scalar baselines. What does
+    not depend on p is made once for the whole history, already times
+    `scale`: the speed scale*(u2*w[q] + u1), the carried density u2*q (q
+    itself when u2 is a scalar, which then scales the w* tables) and the
+    forcing scale*alpha_r*(q - z). rate(m, dp, stage) returns gains[stage]
+    times the rfft of r (r^ alone for a None gain) and r, with r = scale times
+    the rate at row m.
     """
-    w_q = interaction_values(grid, q, alpha)
-    rate = (u2 * w_q + u1) * dp
-    rate += interaction_adjoint_values(grid, u2 * dp * q, alpha)
+    speed = interaction_values(grid, q, alpha)
+    speed *= u2
+    speed += u1
+    speed *= scale
+    carried, weight = (q, scale * u2) if np.ndim(u2) == 0 else (u2 * q, scale)
+    # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s) of g
+    cos_a, sin_a = lagged_basis(grid, -alpha)
+    sin_table, cos_table = weight * sin_a, weight * cos_a
+    forcing = None
     if alpha_r != 0.0:
-        rate += alpha_r * mismatch
-    return np.fft.rfft(rate), rate
+        forcing = q - z
+        forcing *= scale * alpha_r
+
+    def rate(m: int, dp: FloatArray, stage: int) -> tuple[NDArray[np.complex128], FloatArray]:
+        c_c, c_s = moments_values(grid, carried[m] * dp)
+        r = speed[m] * dp
+        r += c_c * sin_table - c_s * cos_table
+        if forcing is not None:
+            r += forcing[m]
+        r_hat = np.fft.rfft(r)
+        gain = gains[stage]
+        return (r_hat if gain is None else gain * r_hat), r
+
+    return rate
 
 
 def solve_adjoint(
@@ -428,13 +488,13 @@ def solve_adjoint(
         raise ValueError("target trajectory is not on the state grid")
     alpha_r, alpha_t = weights
 
-    u1a, u2a, _ = controls.resolve(grid, tgrid, params)
+    u1, u2 = (controls.value(name, grid, tgrid, params) for name in ("u1", "u2"))
     qd, zd = q_traj.data, z_traj.data
-
-    def rate(m: int, dp: FloatArray) -> tuple[NDArray[np.complex128], FloatArray]:
-        return _adjoint_rate(grid, dp, qd[m], u1a[m], u2a[m], params.alpha, qd[m] - zd[m], alpha_r)
-
+    dt = tgrid.dt
+    prop = grid.heat_multiplier(params.D, dt)
+    # rates carry dt/2, so stage 0's dt*P*r1^ is 2P times their transform
+    rate = _adjoint_rate(grid, params.alpha, qd, zd, u1, u2, alpha_r, 0.5 * dt, (2.0 * prop, None))
     p_end = alpha_t * (qd[-1] - zd[-1])
     rows = range(tgrid.n_t, -1, -1)
-    data = _lawson_heun(grid, params.D, tgrid.dt, p_end, rate, rows, "adjoint", lift=grid._ik_first)
+    data = _lawson_heun(prop, dt, p_end, rate, rows, "adjoint", lift=grid._ik_first)
     return Trajectory(grid, tgrid, data)

@@ -249,12 +249,10 @@ def _evaluate(
 
 def _probe_costs(problem: OcpProblem, u: dict[str, FloatArray]) -> FloatArray:
     """Cost J at each control history of the stacks u (name -> (B, n_t+1,
-    n_theta)), from one batched state solve; ResolutionWarning is silenced
-    as in _evaluate."""
+    n_theta)), from one batched state solve, which issues no ResolutionWarning
+    (probes may dip negative, as in _evaluate)."""
     grid, tgrid = problem.grid, problem.tgrid
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResolutionWarning)
-        states = _solve_states(problem.q0, u, problem.params, tgrid)
+    states = _solve_states(problem.q0, u, problem.params, tgrid)
     costs = []
     for i, q in enumerate(states):
         cs = _control_set({n: arr[i] for n, arr in u.items()}, grid, tgrid)

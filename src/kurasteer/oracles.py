@@ -181,7 +181,7 @@ def simulate_particles(
     if given:
         if grid is None:
             raise ValueError("grid is required to sample control histories")
-        u1a, u2a, _ = controls.resolve(grid, tgrid, params)
+        u1a, u2a = (controls.array(name, grid, tgrid, params) for name in ("u1", "u2"))
         theta_nodes = np.append(grid.theta, TWO_PI)
 
         def sample(table: FloatArray, k: int, th: FloatArray) -> FloatArray:

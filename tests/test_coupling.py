@@ -11,6 +11,7 @@ from kurasteer import (
     interaction_field_adjoint,
     order_parameter,
 )
+from kurasteer.coupling import interaction_adjoint_values, interaction_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_adjoint_quadrature, interaction_field_quadrature
 from kurasteer.scenarios import DensitySpec
@@ -141,3 +142,16 @@ class TestInteractionField:
         f = random_bandlimited(grid, rng)
         bound = grid.quad(np.abs(f.values))
         assert np.max(np.abs(interaction_field(f, 0.3).values)) <= bound + 1e-9
+
+
+class TestStackedRows:
+    """The coupling helpers act row by row on stacks of any depth."""
+
+    @pytest.mark.parametrize("helper", [interaction_values, interaction_adjoint_values])
+    @pytest.mark.parametrize("stack_shape", [(3,), (16,), (2, 3)])
+    def test_matches_row_by_row(self, rng, helper, stack_shape):
+        grid = CircleGrid(16)
+        stack = rng.standard_normal(stack_shape + (grid.n_theta,))
+        rows = [helper(grid, row, 0.5) for row in stack.reshape(-1, grid.n_theta)]
+        expected = np.reshape(rows, stack.shape)
+        assert np.array_equal(helper(grid, stack, 0.5), expected)

@@ -5,9 +5,11 @@ from kurasteer import (
     CFLError,
     NumericsError,
     CircleGrid,
+    ControlMode,
     ControlSet,
     CouplingParams,
     Field,
+    ResolutionWarning,
     TimeGrid,
     Trajectory,
     integrate,
@@ -16,7 +18,7 @@ from kurasteer import (
     solve_state,
     sync_series,
 )
-from kurasteer.dynamics import _adjoint_rate, _solve_states, advective_rhs_values
+from kurasteer.dynamics import _adjoint_rate, _solve_states, _state_rate
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
@@ -25,6 +27,20 @@ from kurasteer.scenarios import DensitySpec
 def rate_values(grid, coefficients):
     """Sample values of a rate given by its rfft coefficients."""
     return np.fft.irfft(coefficients, n=grid.n_theta)
+
+
+def state_rhs(grid, q, u1, u2, alpha, source):
+    """rfft coefficients of the state's non-diffusive rate on the row q, with
+    control rows u1, u2 and source (one-row histories, unit stage gains)."""
+    rate = _state_rate(grid, alpha, u1[None], u2[None], source[None], ((-grid._ik_first, 1.0),))
+    return rate(0, q, 0)[0]
+
+
+def adjoint_rate(grid, dp, q, u1, u2, alpha, mismatch, alpha_r):
+    """(rfft coefficients, sample values) of the adjoint's backward rate on the
+    row dp = d/dtheta p, with state q, controls u1, u2 and mismatch q - z."""
+    rate = _adjoint_rate(grid, alpha, q[None], (q - mismatch)[None], u1[None], u2[None], alpha_r, 1.0, (None,))
+    return rate(0, dp, 0)
 
 
 def gaussian_q0(grid, mean=np.pi / 2, sigma=0.8):
@@ -69,21 +85,21 @@ class TestStateRhs:
         q = np.full(grid.n_theta, 1 / (2 * np.pi))
         u1 = np.full(grid.n_theta, 0.7)
         u2 = np.full(grid.n_theta, params.K)
-        rhs = rate_values(grid, advective_rhs_values(grid, q, u1, u2, params.alpha, np.zeros(grid.n_theta)))
+        rhs = rate_values(grid, state_rhs(grid, q, u1, u2, params.alpha, np.zeros(grid.n_theta)))
         assert np.max(np.abs(rhs)) <= 1e-12
 
     def test_pure_source(self, grid, params):
         q = np.full(grid.n_theta, 1 / (2 * np.pi))
         zero = np.zeros(grid.n_theta)
         src = np.sin(2 * grid.theta)
-        rhs = rate_values(grid, advective_rhs_values(grid, q, zero, zero, params.alpha, src))
+        rhs = rate_values(grid, state_rhs(grid, q, zero, zero, params.alpha, src))
         assert np.max(np.abs(rhs - src)) <= 1e-14
 
     def test_matches_quadrature_oracle(self, grid, params, cosine_density):
         # -(d/dtheta)(w[q] q) with w from the O(n^2) oracle and spectral derivative
         q = cosine_density
         zero = np.zeros(grid.n_theta)
-        rhs = rate_values(grid, advective_rhs_values(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero))
+        rhs = rate_values(grid, state_rhs(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero))
         w_oracle = interaction_field_quadrature(q, params.alpha)
         expected = -grid.deriv(w_oracle.values * q.values)
         assert np.max(np.abs(rhs - expected)) <= 1e-10
@@ -92,7 +108,7 @@ class TestStateRhs:
         # a control row sampled on another grid cannot combine with the state
         other = CircleGrid(64)
         with pytest.raises(ValueError):
-            advective_rhs_values(
+            state_rhs(
                 grid,
                 np.ones(grid.n_theta),
                 np.zeros(other.n_theta),
@@ -166,6 +182,13 @@ class TestSolveState:
         traj = solve_state(gaussian_q0(grid), ControlSet(source=src), params, tg)
         assert integrate(traj.field_at(tg.n_t)) == pytest.approx(1.1, abs=1e-6)
 
+    def test_negativity_warning_names_the_caller(self, coarse_grid, params):
+        tg = TimeGrid(0.5, 50)
+        sink = Trajectory.constant(coarse_grid, tg, -0.5)
+        with pytest.warns(ResolutionWarning, match="state density reached min") as record:
+            solve_state(gaussian_q0(coarse_grid), ControlSet(source=sink), params, tg)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestAdjoint:
     def test_constant_p_leaves_only_mismatch(self, grid, params):
@@ -174,13 +197,13 @@ class TestAdjoint:
         u1 = np.full(grid.n_theta, 0.3)
         u2 = np.ones(grid.n_theta)
         mismatch = np.cos(grid.theta)
-        out_hat, out = _adjoint_rate(grid, grid.deriv(p), q, u1, u2, params.alpha, mismatch, alpha_r=2.0)
+        out_hat, out = adjoint_rate(grid, grid.deriv(p), q, u1, u2, params.alpha, mismatch, alpha_r=2.0)
         assert np.max(np.abs(out - 2.0 * mismatch)) <= 1e-12
         assert np.max(np.abs(rate_values(grid, out_hat) - out)) <= 1e-12
 
     def test_zero_everywhere(self, grid, params):
         zero = np.zeros(grid.n_theta)
-        out_hat, out = _adjoint_rate(grid, zero, zero, zero, zero, params.alpha, zero, alpha_r=1.0)
+        out_hat, out = adjoint_rate(grid, zero, zero, zero, zero, params.alpha, zero, alpha_r=1.0)
         assert np.max(np.abs(out)) <= 1e-15
         assert np.max(np.abs(out_hat)) <= 1e-15
 
@@ -226,7 +249,7 @@ class TestAdjoint:
         mis = random_bandlimited(grid, rng).values
         ones = np.ones(grid.n_theta)
         dp = grid.deriv(p)
-        _, general = _adjoint_rate(grid, dp, q, 0.0 * ones, ones, 0.0, mis, 1.0)
+        _, general = adjoint_rate(grid, dp, q, 0.0 * ones, ones, 0.0, mis, 1.0)
         reduced = (
             interaction_values(grid, q, 0.0) * dp
             - interaction_values(grid, q * dp, 0.0)
@@ -265,6 +288,17 @@ class TestBatchedStepper:
             assert np.max(np.abs(batch[i] - single)) <= 1e-13
             assert np.array_equal(batch[i, 0], q0.values)
 
+    def test_batch_rows_bit_equal_to_single_solves(self, rng):
+        # the batched finite differences of gradient_check rely on this
+        grid, tg = CircleGrid(32), TimeGrid(1.0, 100)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
+        q0 = gaussian_q0(grid)
+        controls = self.stacked_controls(grid, tg, rng, 4)
+        batch = _solve_states(q0, controls, params, tg)
+        for i in range(4):
+            single = _solve_states(q0, {n: arr[i] for n, arr in controls.items()}, params, tg)
+            assert np.array_equal(batch[i], single)
+
     def test_one_cfl_violating_probe_rejects_the_batch(self, coarse_grid, rng):
         grid, tg = coarse_grid, TimeGrid(1.0, 200)
         controls = self.stacked_controls(grid, tg, rng, 3)
@@ -299,3 +333,29 @@ class TestBatchedStepper:
         calls.update(rfft=0, irfft=0)
         solve_adjoint(q, z, controls, params, (1.0, 10.0))
         assert sum(calls.values()) <= 4 * tg.n_t + 1
+
+
+class TestScalarBaselines:
+    """A control left out of the ControlSet stays a scalar baseline inside the
+    solvers; that must act as its explicit history (u1 = 0, u2 = K) does."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.INTERACTION, ControlMode.LINEAR_SOURCE])
+    def test_absent_equals_explicit_baseline(self, coarse_grid, rng, mode):
+        grid, tg = coarse_grid, TimeGrid(1.0, 200)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.3)
+        ramp = np.cos(np.pi * tg.times / tg.T)[:, None]
+        offset = {"u1": 0.0, "u2": params.K, "source": 0.0}
+        scale = {"u1": 0.2, "u2": 0.2, "source": 0.005}
+        (name,) = mode.active_controls
+        shape = random_bandlimited(grid, rng, k_max=4).values[None, :]
+        given = {name: Trajectory(grid, tg, offset[name] + scale[name] * ramp * shape)}
+        baselines = {n: Trajectory.constant(grid, tg, offset[n]) for n in ("u1", "u2") if n != name}
+        absent, explicit = ControlSet(**given), ControlSet(**given, **baselines)
+        q0 = gaussian_q0(grid)
+        z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
+        q_absent = solve_state(q0, absent, params, tg)
+        q_explicit = solve_state(q0, explicit, params, tg)
+        assert np.max(np.abs(q_absent.data - q_explicit.data)) <= 1e-14
+        p_absent = solve_adjoint(q_absent, z, absent, params, (1.0, 10.0))
+        p_explicit = solve_adjoint(q_absent, z, explicit, params, (1.0, 10.0))
+        assert np.max(np.abs(p_absent.data - p_explicit.data)) <= 1e-14

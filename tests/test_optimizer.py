@@ -11,6 +11,7 @@ from kurasteer import (
     Field,
     OcpProblem,
     OptimizerConfig,
+    ResolutionWarning,
     TimeGrid,
     Trajectory,
     cost,
@@ -388,6 +389,18 @@ class TestOptimize:
         costs = [r.J for r in res.iterates]
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert costs[-1] <= 1e-3 * costs[0]
+
+    def test_negativity_warning_names_the_caller(self):
+        grid, tgrid, params, q0, z = small_setup()
+        prob = OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.LINEAR_SOURCE,
+            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            optimizer=OptimizerConfig(max_iters=0), q0=q0, target=z,
+            initial=ControlSet(source=Trajectory.constant(grid, tgrid, -0.5)),
+        )
+        with pytest.warns(ResolutionWarning, match="optimized state density") as record:
+            optimize(prob)
+        assert [w.filename for w in record] == [__file__]
 
     def test_monotone_decrease_and_records(self):
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
