@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .coupling import interaction_field, interaction_field_adjoint
+from .coupling import interaction_field, interaction_field_adjoint, interaction_values
 from .dynamics import ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory, solve_state
 from .grid import CircleGrid, Field, ddtheta, integrate, random_bandlimited
 from .optimizer import OcpProblem, OptimizerConfig, gradient_check
@@ -95,10 +95,7 @@ def check_mass_and_bound(runcfg: RunConfig) -> dict:
     controls = ControlSet()
     traj = solve_state(runcfg.q0, controls, runcfg.params, runcfg.tgrid)
     mass_err = float(np.max(np.abs(traj.mass() - 1.0)))
-    w_max = 0.0
-    for k in range(0, runcfg.tgrid.n_t + 1):
-        w = interaction_field(traj.field_at(k), runcfg.params.alpha)
-        w_max = max(w_max, float(np.max(np.abs(w.values))))
+    w_max = float(np.max(np.abs(interaction_values(runcfg.grid, traj.data, runcfg.params.alpha))))
     terminal_err = float(runcfg.grid.quad((traj.data[-1] - target.data[-1]) ** 2))
     return {
         "name": "mass_and_transport_bound",

@@ -161,10 +161,19 @@ class RunConfig:
     def initial_controls(self) -> ControlSet:
         """Optional initial-control files plus a seeded random perturbation."""
         ic = self.raw["initial_controls"]
+        for name in CONTROLS:
+            if ic[f"{name}_file"] and name not in self.mode.active_controls:
+                raise ValueError(
+                    f"initial_controls.{name}_file is set, but mode {self.mode.value!r} "
+                    f"does not optimize {name!r}"
+                )
+        scale = float(ic["perturbation_scale"] or 0.0)
+        if not scale >= 0.0:
+            raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
         shape = (self.tgrid.n_t + 1, self.grid.n_theta)
         arrays: dict[str, np.ndarray] = {}
         for name in self.mode.active_controls:
-            path = ic.get(f"{name}_file")
+            path = ic[f"{name}_file"]
             if path:
                 arr = np.fromfile(path, dtype="<f8")
                 if arr.size != shape[0] * shape[1]:
@@ -174,7 +183,6 @@ class RunConfig:
                 arrays[name] = arr.reshape(shape).astype(np.float64)
             else:
                 arrays[name] = np.full(shape, CONTROLS[name].baseline(self.params))
-        scale = float(ic.get("perturbation_scale") or 0.0)
         if scale > 0.0:
             rng = np.random.default_rng(self.seed)
             for name in arrays:

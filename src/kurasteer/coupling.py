@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, CircleGrid, Field, FloatArray
+from .grid import TWO_PI, CircleGrid, ComplexArray, Field, FloatArray
 
 MASS_TOL = 1e-3
 
@@ -42,11 +42,12 @@ def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, Fl
     """First circular moments (integral of cos*v, integral of sin*v) of one
     sample row, or of every row of a stacked (n_rows, n_theta) array.
 
-    vecdot takes one dot product per row, so a row's moments do not depend
-    on the stack it is in (a matrix-vector product may round differently).
+    vecdot takes one dot product per row and basis row, so a row's moments
+    do not depend on the stack it is in (a matrix-vector product may round
+    differently).
     """
-    d = grid.d_theta
-    return np.vecdot(values, grid.cos_theta) * d, np.vecdot(values, grid.sin_theta) * d
+    m = np.vecdot(values[..., None, :], grid.moment_basis) * grid.d_theta
+    return m[..., 0], m[..., 1]
 
 
 def circular_moments(q: Field) -> tuple[float, float]:
@@ -84,6 +85,22 @@ def interaction_values(grid: CircleGrid, values: FloatArray, alpha: float) -> Fl
     c_c, c_s = moments_values(grid, values)
     cos_a, sin_a = lagged_basis(grid, alpha)
     return c_s[..., None] * cos_a - c_c[..., None] * sin_a
+
+
+def interaction_coefficient_table(
+    grid: CircleGrid, alpha: float, gain: FloatArray | float = 1.0
+) -> ComplexArray:
+    """Table T = gain*i*dtheta*exp(i*(theta + alpha)) that reads the coupling
+    velocity off the rfft coefficients q^ of a sample: gain*w[q] = Re(q^_1 * T),
+    with q^_1 = rfft(q)[..., 1:2].
+
+    The kernel is rank 2, so w[q] lives in Fourier modes +-1:
+    rfft(q)[1] = (C_c - i*C_s)/dtheta, and
+    Re(q^_1 * i*dtheta*exp(i*(theta + alpha))) = C_s*cos(theta+alpha) - C_c*sin(theta+alpha),
+    which is interaction_values. gain is a scalar or an array that
+    broadcasts against one row; T has the broadcast shape.
+    """
+    return np.multiply(gain, 1j * grid.d_theta * np.exp(1j * (grid.theta + alpha)))
 
 
 def interaction_adjoint_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:

@@ -18,7 +18,10 @@ adjoint runs the mirrored scheme in reversed time, reusing stored state rows
 at the exact stage times. What does not depend on the stepped field (the
 products of control, state and target histories, the coupling tables, the
 scalar and mode factors) is computed once per solve, and absent controls
-stay scalars. The state solver also takes a stack of control histories and
+stay scalars. The state's coupling velocity lives in Fourier modes +-1, so
+each stage reads it off mode 1 of the coefficients the stepper already holds,
+and every FFT writes into a buffer made once per solve or into the stored row
+it fills. The state solver also takes a stack of control histories and
 integrates them together.
 """
 
@@ -31,13 +34,15 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .coupling import CouplingParams, interaction_values, lagged_basis, moments_values
-from .grid import CircleGrid, Field, FloatArray
+from .coupling import CouplingParams, interaction_coefficient_table, interaction_values, lagged_basis
+from .grid import CircleGrid, ComplexArray, Field, FloatArray
 
 CFL_SAFETY = 0.5
 POSITIVITY_TOL = 1e-6
+
+# rate(k, x, c, stage) -> (stage increment as rfft coefficients, its samples or None)
+Rate = Callable[[int, FloatArray, ComplexArray, int], tuple[ComplexArray, FloatArray | None]]
 
 
 class CFLError(ValueError):
@@ -227,38 +232,45 @@ def _state_rate(
     u1: FloatArray | None,
     u2: FloatArray | float,
     source: FloatArray | None,
-    gains: tuple[tuple[NDArray[np.complex128], float | FloatArray], ...],
-) -> Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], None]]:
+    gains: tuple[tuple[ComplexArray, float | FloatArray], ...],
+    shape: tuple[int, ...],
+) -> Rate:
     """Stage increments of the state's non-diffusive rate
-    -d/dtheta((u2*w[q] + u1)*q) + source, on one sample row or a stack of rows.
+    -d/dtheta((u2*w[q] + u1)*q) + source, on fields of the given shape (one
+    sample row or a stack of rows).
 
     u1 and source are histories (time on the second-to-last axis, optionally
     stacked) or None when absent, which adds no term; u2 is a history, a stack
-    or a scalar. Since w[q] = C_s*cos(theta+alpha) - C_c*sin(theta+alpha) with
-    (C_c, C_s) the moments of q, u2 is folded once into the coupling tables
-    u2*cos(theta+alpha) and u2*sin(theta+alpha), rows when u2 is a scalar.
-    rate(k, q, stage) returns g_f*flux^ + g_s*source^ at row k, with
+    or a scalar. The speed w[q] is one complex product of mode 1 of the
+    field's coefficients with the row of interaction_coefficient_table, into
+    which a scalar u2 is folded; a u2 history scales it by row k instead (a
+    complex table of the whole history raised the peak memory of an
+    interaction descent at 128 x 2000 by 3.6 MiB).
+    rate(k, q, q^, stage) returns g_f*flux^ + g_s*source^ at row k, with
     (g_f, g_s) = gains[stage] and one forward transform of the flux (stacked
-    with the source when there is one).
+    with the source when there is one) into a buffer made here.
     """
-    cos_a, sin_a = lagged_basis(grid, alpha)
-    cos_table, sin_table = u2 * cos_a, u2 * sin_a
     fixed = np.ndim(u2) == 0
+    table = interaction_coefficient_table(grid, alpha, u2 if fixed else 1.0)
+    speed_c = np.empty(shape, dtype=np.complex128)
+    speed = speed_c.real
+    flux = np.empty(shape if source is None else (2,) + shape)
+    flux_hat = np.empty(flux.shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
 
-    def rate(k: int, q: FloatArray, stage: int) -> tuple[NDArray[np.complex128], None]:
-        c_c, c_s = moments_values(grid, q)
-        cos_k, sin_k = (cos_table, sin_table) if fixed else (cos_table[..., k, :], sin_table[..., k, :])
-        speed = c_s[..., None] * cos_k - c_c[..., None] * sin_k
+    def rate(k: int, q: FloatArray, q_hat: ComplexArray, stage: int) -> tuple[ComplexArray, None]:
+        np.multiply(q_hat[..., 1:2], table, out=speed_c)
+        if not fixed:
+            np.multiply(speed, u2[..., k, :], out=speed)
         if u1 is not None:
-            speed += u1[..., k, :]
+            np.add(speed, u1[..., k, :], out=speed)
         flux_gain, source_gain = gains[stage]
         if source is None:
-            return flux_gain * np.fft.rfft(speed * q), None
-        pair = np.empty((2,) + speed.shape)
-        np.multiply(speed, q, out=pair[0])
-        pair[1] = source[..., k, :]
-        flux_hat, source_hat = np.fft.rfft(pair)
-        return flux_gain * flux_hat + source_gain * source_hat, None
+            np.multiply(speed, q, out=flux)
+            return flux_gain * np.fft.rfft(flux, out=flux_hat), None
+        np.multiply(speed, q, out=flux[0])
+        flux[1] = source[..., k, :]
+        np.fft.rfft(flux, out=flux_hat)
+        return flux_gain * flux_hat[0] + source_gain * flux_hat[1], None
 
     return rate
 
@@ -294,10 +306,10 @@ def _lawson_heun(
     prop: FloatArray,
     dt: float,
     y0: FloatArray,
-    rate: Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], FloatArray | None]],
+    rate: Rate,
     rows: range,
     name: str,
-    lift: NDArray[np.complex128] | None = None,
+    lift: ComplexArray | None = None,
 ) -> FloatArray:
     """Heun on a rate composed with the exact heat propagator P, carried in rfft space.
 
@@ -308,7 +320,8 @@ def _lawson_heun(
         pred = P y^ + dt P r1^,    y^ <- (P y^ + pred) / 2 + (dt/2) r2^,
 
     with r1^ the rate at row a on the field and r2^ the rate at row b on
-    pred. rate(k, x, stage) takes the stage's sample values x and returns the
+    pred. rate(k, x, c, stage) takes the stage's sample values x and its
+    field's coefficients c (y^ for stage 0, pred for stage 1) and returns the
     stage's increment, dt*P*r1^ for stage 0 and (dt/2)*r2^ for stage 1, so
     that the solver folds every scalar and mode factor into multipliers made
     once per solve; with `lift` it also returns the stage-1 increment's
@@ -319,32 +332,35 @@ def _lawson_heun(
     x is the inverse transform of lift * y^, and the new row is assembled in
     sample space from the inverse transform of (P y^ + pred) / 2, stacked
     with the stage-2 input, plus the increment. Either way a step makes four
-    FFT calls, and a solve one more: the transform of y0, which row rows[0]
+    FFT calls, each into an output made once per solve or into the row it
+    fills, and a solve one more: the transform of y0, which row rows[0]
     stores exactly. Returns the rows along the second-to-last axis.
     """
     n = y0.shape[-1]
     data = np.empty(y0.shape[:-1] + (len(rows), n))
     data[..., rows[0], :] = y = y0
     y_hat = np.fft.rfft(y0)
+    x = np.empty(y0.shape)
+    if lift is not None:
+        pair_hat = np.empty((2,) + y_hat.shape, dtype=y_hat.dtype)
+        pair = np.empty((2,) + y0.shape)
     for a, b in zip(rows[:-1], rows[1:]):
         p_y = prop * y_hat
-        pred = p_y + rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n), 0)[0]
+        pred = p_y + rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n, out=x), y_hat, 0)[0]
         if lift is None:
             half = 0.5 * (p_y + pred)
-            y_hat = half + rate(b, np.fft.irfft(pred, n=n), 1)[0]
-            y = np.fft.irfft(y_hat, n=n)
+            y_hat = half + rate(b, np.fft.irfft(pred, n=n, out=x), pred, 1)[0]
+            y = np.fft.irfft(y_hat, n=n, out=data[..., b, :])
         else:
-            pair = np.empty((2,) + pred.shape, dtype=pred.dtype)
-            np.multiply(lift, pred, out=pair[0])
-            half = np.add(p_y, pred, out=pair[1])
+            np.multiply(lift, pred, out=pair_hat[0])
+            half = np.add(p_y, pred, out=pair_hat[1])
             half *= 0.5
-            x, h = np.fft.irfft(pair, n=n)
-            inc_hat, inc = rate(b, x, 1)
+            x2, h = np.fft.irfft(pair_hat, n=n, out=pair)
+            inc_hat, inc = rate(b, x2, pred, 1)
             y_hat = half + inc_hat
-            y = h + inc
+            y = np.add(h, inc, out=data[..., b, :])
         if not np.isfinite(y).all():
             raise NumericsError(f"{name} became non-finite at step {b} (t={b * dt:.6g})")
-        data[..., b, :] = y
     return data
 
 
@@ -383,9 +399,9 @@ def _solve_states(
     prop = grid.heat_multiplier(params.D, dt)
     slope = -grid._ik_first  # the rate is -d/dtheta of the flux
     gains = ((dt * prop * slope, dt * prop), (0.5 * dt * slope, 0.5 * dt))
-    rate = _state_rate(grid, params.alpha, u1, u2, src, gains)
     batch = np.broadcast_shapes(*(c.shape[:-2] for c in controls.values()))
     y0 = np.broadcast_to(q0.values, batch + (grid.n_theta,))
+    rate = _state_rate(grid, params.alpha, u1, u2, src, gains, y0.shape)
     data = _lawson_heun(prop, dt, y0, rate, range(tgrid.n_t + 1), "state")
     if src is None:
         drift = float(np.max(np.abs(grid.quad_rows(data) - mass0)))
@@ -427,40 +443,45 @@ def _adjoint_rate(
     u2: FloatArray | float,
     alpha_r: float,
     scale: float,
-    gains: tuple[NDArray[np.complex128] | None, ...],
-) -> Callable[[int, FloatArray, int], tuple[NDArray[np.complex128], FloatArray]]:
+    gains: tuple[ComplexArray | None, ...],
+) -> Rate:
     """Stage increments of the adjoint's backward-time rate (diffusion handled
     by the propagator), as rfft coefficients and as sample values.
 
     With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*(q - z).
-    q and z are histories, u1 and u2 histories or scalar baselines. What does
-    not depend on p is made once for the whole history, already times
-    `scale`: the speed scale*(u2*w[q] + u1), the carried density u2*q (q
-    itself when u2 is a scalar, which then scales the w* tables) and the
-    forcing scale*alpha_r*(q - z). rate(m, dp, stage) returns gains[stage]
-    times the rfft of r (r^ alone for a None gain) and r, with r = scale times
-    the rate at row m.
+    q and z are (n_t+1, n_theta) histories, u1 and u2 histories or scalar
+    baselines. What does not depend on p is made once for the whole history,
+    already times `scale`: the speed scale*(u2*w[q] + u1), the carried
+    density u2*q (q itself when u2 is a scalar, which then scales the w*
+    table) and the forcing scale*alpha_r*(q - z). rate(m, dp, c, stage)
+    ignores the coefficients c and returns gains[stage] times the rfft of r
+    (r^ alone for a None gain) and r, with r = scale times the rate at row m;
+    both live in buffers made here.
     """
     speed = interaction_values(grid, q, alpha)
     speed *= u2
     speed += u1
     speed *= scale
     carried, weight = (q, scale * u2) if np.ndim(u2) == 0 else (u2 * q, scale)
-    # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s) of g
+    # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s)
+    # of g, the dot products of the row g with the moment basis times d_theta
+    basis = grid.moment_basis
     cos_a, sin_a = lagged_basis(grid, -alpha)
-    sin_table, cos_table = weight * sin_a, weight * cos_a
+    lagged = (weight * grid.d_theta) * np.stack((sin_a, -cos_a))
     forcing = None
     if alpha_r != 0.0:
         forcing = q - z
         forcing *= scale * alpha_r
+    g, r = np.empty((2, grid.n_theta))
+    r_hat = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
 
-    def rate(m: int, dp: FloatArray, stage: int) -> tuple[NDArray[np.complex128], FloatArray]:
-        c_c, c_s = moments_values(grid, carried[m] * dp)
-        r = speed[m] * dp
-        r += c_c * sin_table - c_s * cos_table
+    def rate(m: int, dp: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, FloatArray]:
+        np.multiply(carried[m], dp, out=g)
+        np.multiply(speed[m], dp, out=r)
+        np.add(r, np.vecdot(g, basis) @ lagged, out=r)
         if forcing is not None:
-            r += forcing[m]
-        r_hat = np.fft.rfft(r)
+            np.add(r, forcing[m], out=r)
+        np.fft.rfft(r, out=r_hat)
         gain = gains[stage]
         return (r_hat if gain is None else gain * r_hat), r
 

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
+ComplexArray = NDArray[np.complex128]
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,6 +52,14 @@ class CircleGrid:
         return s
 
     @cached_property
+    def moment_basis(self) -> FloatArray:
+        """(2, n_theta) rows cos(theta), sin(theta): the first circular moments
+        of a sample are its dot products with them, times d_theta."""
+        b = np.stack((self.cos_theta, self.sin_theta))
+        b.setflags(write=False)
+        return b
+
+    @cached_property
     def wavenumbers(self) -> FloatArray:
         """Nonnegative mode numbers 0..n/2 of the real FFT."""
         k = np.arange(self.n_theta // 2 + 1, dtype=np.float64)
@@ -58,7 +67,7 @@ class CircleGrid:
         return k
 
     @cached_property
-    def _ik_first(self) -> NDArray[np.complex128]:
+    def _ik_first(self) -> ComplexArray:
         # Nyquist mode derivative set to zero: keeps real fields real and
         # makes the discrete d/dtheta exactly skew-symmetric.
         ik = 1j * self.wavenumbers

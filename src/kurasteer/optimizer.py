@@ -495,8 +495,11 @@ def gradient_check(
     raises. Directions nearly orthogonal to the gradient are redrawn so
     the relative error keeps a meaningful denominator. `bias` shifts the
     adjoint gradient uniformly and exists as a fault-injection hook for
-    negative-control tests.
+    negative-control tests. n_directions must be at least 1: a check over no
+    direction would pass without testing anything.
     """
+    if n_directions < 1:
+        raise ValueError(f"gradient_check needs n_directions >= 1, got {n_directions}")
     if eps_sweep is None:
         eps_sweep = np.logspace(-1, -5, 9)
     eps_sweep = np.sort(np.asarray(eps_sweep, dtype=np.float64))[::-1]

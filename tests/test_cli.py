@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kurasteer import CostWeights, CouplingParams, OptimizerConfig
+from kurasteer import ControlSet, CostWeights, CouplingParams, OptimizerConfig, interaction_field, solve_state
+from kurasteer.checks import check_mass_and_bound
 from kurasteer.cli import main
 from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
 from kurasteer.outputs import read_field_file
@@ -96,6 +97,26 @@ class TestConfig:
         code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", override])
         assert code == 1
         assert field in capsys.readouterr().err
+
+    OPT_FAST = [
+        "--set", "discretization.n_theta=32",
+        "--set", "discretization.n_t=100",
+        "--set", "optimizer.max_iters=1",
+    ]
+
+    def test_control_file_unused_by_mode_hard_error(self, tmp_path, capsys):
+        args = ["--set", "mode=interaction", "--set", "initial_controls.source_file=/nonexistent/s.f64"]
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
+        assert code == 1
+        assert "initial_controls.source_file" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "summary.json").exists()
+
+    @pytest.mark.parametrize("scale", ["-0.1", "NaN"])
+    def test_bad_perturbation_scale_hard_error(self, tmp_path, capsys, scale):
+        args = ["--set", f"initial_controls.perturbation_scale={scale}"]
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
+        assert code == 1
+        assert "initial_controls.perturbation_scale" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -236,6 +257,19 @@ class TestCheck:
         assert "gradient_check_velocity" in names
         assert "gradient_check_interaction" in names
         assert "gradient_check_linear_source" in names
+
+    def test_mass_and_bound_is_row_by_row_exact(self):
+        overrides = ["discretization.n_t=600", "discretization.T=3.0", "physics.alpha=0.5"]
+        runcfg = RunConfig.from_dict(load_config(None, overrides))
+        traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
+        rows = [interaction_field(traj.field_at(k), 0.5).values for k in range(runcfg.tgrid.n_t + 1)]
+        w_max = max(float(np.max(np.abs(w))) for w in rows)
+        assert check_mass_and_bound(runcfg)["max_transport_field"] == w_max
+
+    def test_zero_directions_hard_error(self, tmp_path, capsys):
+        args = [a.replace('"directions":2', '"directions":0') for a in self.CHECK_FAST]
+        assert main(["check", "--out", str(tmp_path / "chk"), *args]) == 1
+        assert "n_directions >= 1" in capsys.readouterr().err
 
     def test_tampered_gradient_fails(self, tmp_path):
         out = tmp_path / "chk"

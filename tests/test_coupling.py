@@ -11,7 +11,7 @@ from kurasteer import (
     interaction_field_adjoint,
     order_parameter,
 )
-from kurasteer.coupling import interaction_adjoint_values, interaction_values
+from kurasteer.coupling import interaction_adjoint_values, interaction_coefficient_table, interaction_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_adjoint_quadrature, interaction_field_quadrature
 from kurasteer.scenarios import DensitySpec
@@ -155,3 +155,20 @@ class TestStackedRows:
         rows = [helper(grid, row, 0.5) for row in stack.reshape(-1, grid.n_theta)]
         expected = np.reshape(rows, stack.shape)
         assert np.array_equal(helper(grid, stack, 0.5), expected)
+
+
+class TestCoefficientTable:
+    """The coupling velocity read off rfft mode 1 equals the moment form."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -2.0])
+    @pytest.mark.parametrize("stack_shape", [(), (4,), (4, 11)])
+    @pytest.mark.parametrize("history_gain", [False, True])
+    def test_matches_interaction_values(self, rng, alpha, stack_shape, history_gain):
+        grid = CircleGrid(32)
+        q = rng.standard_normal(stack_shape + (grid.n_theta,))
+        gain = 1.0 + 0.3 * rng.standard_normal(q.shape) if history_gain else 1.7
+        table = interaction_coefficient_table(grid, alpha, gain)
+        assert table.shape == np.broadcast_shapes(np.shape(gain), (grid.n_theta,))
+        w = np.real(np.fft.rfft(q)[..., 1:2] * table)
+        expected = gain * interaction_values(grid, q, alpha)
+        assert np.max(np.abs(w - expected)) <= 1e-14 * np.max(np.abs(q))

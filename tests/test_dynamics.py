@@ -32,15 +32,15 @@ def rate_values(grid, coefficients):
 def state_rhs(grid, q, u1, u2, alpha, source):
     """rfft coefficients of the state's non-diffusive rate on the row q, with
     control rows u1, u2 and source (one-row histories, unit stage gains)."""
-    rate = _state_rate(grid, alpha, u1[None], u2[None], source[None], ((-grid._ik_first, 1.0),))
-    return rate(0, q, 0)[0]
+    rate = _state_rate(grid, alpha, u1[None], u2[None], source[None], ((-grid._ik_first, 1.0),), q.shape)
+    return rate(0, q, np.fft.rfft(q), 0)[0]
 
 
 def adjoint_rate(grid, dp, q, u1, u2, alpha, mismatch, alpha_r):
     """(rfft coefficients, sample values) of the adjoint's backward rate on the
     row dp = d/dtheta p, with state q, controls u1, u2 and mismatch q - z."""
     rate = _adjoint_rate(grid, alpha, q[None], (q - mismatch)[None], u1[None], u2[None], alpha_r, 1.0, (None,))
-    return rate(0, dp, 0)
+    return rate(0, dp, None, 0)
 
 
 def gaussian_q0(grid, mean=np.pi / 2, sigma=0.8):
@@ -329,10 +329,10 @@ class TestBatchedStepper:
 
             monkeypatch.setattr(np.fft, name, counted)
         q = solve_state(gaussian_q0(grid), controls, params, tg)
-        assert sum(calls.values()) <= 4 * tg.n_t + 1
+        assert sum(calls.values()) == 4 * tg.n_t + 1
         calls.update(rfft=0, irfft=0)
         solve_adjoint(q, z, controls, params, (1.0, 10.0))
-        assert sum(calls.values()) <= 4 * tg.n_t + 1
+        assert sum(calls.values()) == 4 * tg.n_t + 1
 
 
 class TestScalarBaselines:

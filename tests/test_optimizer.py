@@ -311,6 +311,11 @@ class TestGradientCheck:
         )
         assert not report.passed
 
+    @pytest.mark.parametrize("n_directions", [0, -1])
+    def test_no_directions_rejected(self, n_directions):
+        with pytest.raises(ValueError, match="n_directions >= 1"):
+            gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=n_directions)
+
     def test_small_bias_fails(self):
         # a uniform shift of 1e-3 still shows at the smallest eps, where the
         # correct gradient reads below 1e-4
