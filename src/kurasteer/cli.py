@@ -69,6 +69,7 @@ def _state_report(traj: Trajectory, target: Trajectory, alpha_r: float) -> tuple
         "final_psi": float(psi[-1]),
         "final_mass": float(mass[-1]),
         "terminal_tracking_error": float(terr[-1]),
+        "min_density": float(traj.data.min()),
     }
     return (t, R, psi, mass, 0.5 * alpha_r * terr), metrics
 
@@ -78,7 +79,19 @@ def _write_state(out: Path, traj: Trajectory, series: tuple) -> None:
     write_field_file(out / "state.f64", traj, "state", FIELD_UNITS["state"])
 
 
+def _reject_initial_controls(runcfg: RunConfig, command: str) -> None:
+    """simulate and check run the baseline controls and never read
+    initial_controls, so a setting there is an error, not a silent no-op."""
+    for key, value in runcfg.raw["initial_controls"].items():
+        if value:
+            raise ValueError(
+                f"initial_controls.{key} is set to {value!r}, but {command} runs the "
+                "baseline controls and never reads it"
+            )
+
+
 def cmd_simulate(runcfg: RunConfig) -> int:
+    _reject_initial_controls(runcfg, "simulate")
     out = runcfg.output_dir
     traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
     series, metrics = _state_report(traj, runcfg.target_trajectory(), runcfg.weights.alpha_r)
@@ -89,7 +102,6 @@ def cmd_simulate(runcfg: RunConfig) -> int:
         "config": runcfg.raw,
         **metrics,
         "max_mass_error": float(np.max(np.abs(mass - mass[0]))),
-        "min_density": float(traj.data.min()),
     }
     write_json(out / "summary.json", summary)
     logger.info("simulate: R(T)=%.4f mass error %.2e", summary["final_R"], summary["max_mass_error"])
@@ -141,6 +153,7 @@ def cmd_optimize(runcfg: RunConfig) -> int:
 
 
 def cmd_check(runcfg: RunConfig) -> int:
+    _reject_initial_controls(runcfg, "check")
     report = run_all_checks(runcfg)
     report["config"] = runcfg.raw
     write_json(runcfg.output_dir / "report.json", report)

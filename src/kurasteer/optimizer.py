@@ -487,9 +487,9 @@ def gradient_check(
 
     For each random band-limited direction, the adjoint value <grad J, delta>
     is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) over a
-    sweep of decreasing eps. The probes u +- eps*delta of one direction and
-    sign are solved as one batch. A direction passes when the relative error at
-    the smallest eps is at most GRADCHECK_TOL: there the truncation error is
+    sweep of decreasing eps. The probes u +- eps*delta of one direction, both
+    signs, are solved as one batch. A direction passes when the relative error
+    at the smallest eps is at most GRADCHECK_TOL: there the truncation error is
     negligible, so what remains is the O(dt) mismatch between the adjoint
     gradient and the derivative of the discrete cost, which a wrong gradient
     raises. Directions nearly orthogonal to the gradient are redrawn so
@@ -536,9 +536,9 @@ def gradient_check(
     checks = []
     for _ in range(n_directions):
         delta, g_adj = draw_direction()
-        j_plus, j_minus = (
-            _probe_costs(problem, {n: u0[n] + sign * eps_sweep[:, None, None] * delta[n] for n in u0})
-            for sign in (1.0, -1.0)
+        steps = np.concatenate((eps_sweep, -eps_sweep))[:, None, None]
+        j_plus, j_minus = np.split(
+            _probe_costs(problem, {n: u0[n] + steps * delta[n] for n in u0}), 2
         )
         fd_arr = (j_plus - j_minus) / (2.0 * eps_sweep)
         if max(abs(g_adj), float(np.max(np.abs(fd_arr)))) <= zero_floor:

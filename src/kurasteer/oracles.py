@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .coupling import CouplingParams
 from .dynamics import CONTROLS, ControlSet, TimeGrid
@@ -39,7 +38,13 @@ def interaction_adjoint_quadrature(g: Field, alpha: float = 0.0) -> Field:
 
 
 def bessel_ratio(x: float) -> float:
-    """I_1(x) / I_0(x) of the modified Bessel functions."""
+    """I_1(x) / I_0(x) of the modified Bessel functions.
+
+    scipy is imported here, on first use, so that the solver, the optimizer
+    and the CLI load without it.
+    """
+    from scipy.special import i0e, i1e
+
     return float(i1e(x) / i0e(x))
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kurasteer
 from kurasteer import ControlSet, CostWeights, CouplingParams, OptimizerConfig, interaction_field, solve_state
 from kurasteer.checks import check_mass_and_bound
 from kurasteer.cli import main
@@ -118,6 +123,24 @@ class TestConfig:
         assert code == 1
         assert "initial_controls.perturbation_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("initial_controls.u1_file=/nonexistent/u1.f64", "initial_controls.u1_file"),
+            ("initial_controls.source_file=/nonexistent/s.f64", "initial_controls.source_file"),
+            ("initial_controls.perturbation_scale=-5", "initial_controls.perturbation_scale"),
+            ("initial_controls.perturbation_scale=0.1", "initial_controls.perturbation_scale"),
+        ],
+    )
+    def test_initial_controls_unread_by_command_hard_error(self, tmp_path, capsys, command, override, key):
+        # simulate and check run the baseline controls: an initial control is never read
+        out = tmp_path / "x"
+        code = main([command, "--out", str(out), *self.OPT_FAST, "--set", override])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "summary.json").exists() and not (out / "report.json").exists()
+
 
 class TestSimulate:
     def test_uniform_initial_density_stays_incoherent(self, tmp_path):
@@ -175,6 +198,11 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "x"), "--set", "physics.nope=1"])
         assert code == 1
 
+    def test_default_initial_controls_accepted(self, tmp_path):
+        # no file and a zero perturbation, even when set explicitly, are what simulate runs
+        args = ["--set", "initial_controls.u1_file=null", "--set", "initial_controls.perturbation_scale=0"]
+        assert main(["simulate", "--out", str(tmp_path / "run"), *FAST, *args]) == 0
+
 
 OPT_FAST = [
     *FAST,
@@ -197,6 +225,15 @@ class TestOptimize:
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert (out / "control_u1.f64").exists()
         assert (out / "adjoint.f64").exists()
+
+    def test_min_density_reported(self, tmp_path):
+        # the optimized and the uncontrolled state's minima, exactly as written
+        sim, opt = tmp_path / "sim", tmp_path / "opt"
+        assert main(["simulate", "--out", str(sim), *FAST]) == 0
+        assert main(["optimize", "--out", str(opt), *OPT_FAST]) == 0
+        summary = json.loads((opt / "summary.json").read_text())
+        assert summary["min_density"] == float(read_field_file(opt / "state.f64")[1].min())
+        assert summary["baseline"]["min_density"] == float(read_field_file(sim / "state.f64")[1].min())
 
     def test_zero_iterations_matches_simulate(self, tmp_path):
         sim, opt = tmp_path / "sim", tmp_path / "opt"
@@ -278,3 +315,39 @@ class TestCheck:
         assert main(["check", "--out", str(out), *args]) == 2
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
+
+
+COLD_START = """
+import json
+import sys
+
+import kurasteer, kurasteer.cli
+
+out, args = sys.argv[1], sys.argv[2:]
+codes = [kurasteer.cli.main([cmd, "--out", f"{out}/{cmd}", *args]) for cmd in ("simulate", "optimize", "check")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+kurasteer.bessel_ratio(1.0)
+print(json.dumps({"codes": codes, "loaded": loaded, "oracle_loads": "scipy.special" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # only the Bessel oracle needs scipy; importing the package and running
+    # each command must not load it (a fresh interpreter, so earlier tests
+    # that ran the oracle cannot hide an import)
+    src = str(Path(kurasteer.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [
+        "--set", "discretization.n_theta=32",
+        "--set", "discretization.n_t=200",
+        "--set", "optimizer.max_iters=1",
+        "--set", "check.directions=1",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path), *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["loaded"] == []
+    assert result["oracle_loads"]

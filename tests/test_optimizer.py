@@ -326,14 +326,16 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
     def test_batched_differences_match_probe_by_probe(self, mode, monkeypatch):
-        # each direction and sign is one batched solve of the probes u0 +- eps*delta;
-        # its differences agree with solving the probes one at a time
+        # each direction is one batched solve of the probes u0 + eps*delta, then
+        # u0 - eps*delta; its differences agree with solving the probes one at a time
         problem = self.make_problem(mode)
         batches, batched_costs = [], optimizer._probe_costs
 
         def spy(prob, u):
             costs = batched_costs(prob, u)
-            batches.append((u, costs))
+            halves = [{n: arr[:len(costs) // 2] for n, arr in u.items()},
+                      {n: arr[len(costs) // 2:] for n, arr in u.items()}]
+            batches.extend(zip(halves, np.split(costs, 2)))
             return costs
 
         monkeypatch.setattr(optimizer, "_probe_costs", spy)
