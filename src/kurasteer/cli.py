@@ -138,6 +138,11 @@ def cmd_optimize(runcfg: RunConfig) -> int:
         "J_q": result.final.J_q,
         "J_u": result.final.J_u,
         "grad_norm": result.final.grad_norm,
+        "solves": {
+            "state": result.state_solves,
+            "adjoint": result.adjoint_solves,
+            "line_search_trials": result.line_search_trials,
+        },
         **metrics,
         "baseline": baseline_metrics,
     }

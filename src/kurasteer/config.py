@@ -170,6 +170,8 @@ class RunConfig:
         scale = float(ic["perturbation_scale"] or 0.0)
         if not scale >= 0.0:
             raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
+        # a control is its file's array or one baseline row repeated in time; the
+        # perturbation (one row) goes in place into a file's array, else a new row
         shape = (self.tgrid.n_t + 1, self.grid.n_theta)
         arrays: dict[str, np.ndarray] = {}
         for name in self.mode.active_controls:
@@ -180,16 +182,16 @@ class RunConfig:
                     raise ValueError(
                         f"control file {path} holds {arr.size} samples, expected {shape[0] * shape[1]}"
                     )
-                arrays[name] = arr.reshape(shape).astype(np.float64)
+                arrays[name] = arr.reshape(shape)
             else:
-                arrays[name] = np.full(shape, CONTROLS[name].baseline(self.params))
+                arrays[name] = Field.constant(self.grid, CONTROLS[name].baseline(self.params)).values
         if scale > 0.0:
             rng = np.random.default_rng(self.seed)
-            for name in arrays:
+            for name, arr in arrays.items():
                 bump = random_bandlimited(self.grid, rng, scale=scale).values
-                arrays[name] = arrays[name] + bump[None, :]
+                arrays[name] = np.add(arr, bump, out=arr if arr.ndim == 2 else None)
         return ControlSet(
-            **{name: Trajectory(self.grid, self.tgrid, arr) for name, arr in arrays.items()}
+            **{name: Trajectory(self.grid, self.tgrid, np.broadcast_to(arr, shape)) for name, arr in arrays.items()}
         )
 
     def problem(self) -> OcpProblem:

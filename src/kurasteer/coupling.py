@@ -84,7 +84,9 @@ def interaction_values(grid: CircleGrid, values: FloatArray, alpha: float) -> Fl
     """
     c_c, c_s = moments_values(grid, values)
     cos_a, sin_a = lagged_basis(grid, alpha)
-    return c_s[..., None] * cos_a - c_c[..., None] * sin_a
+    w = c_s[..., None] * cos_a
+    w -= c_c[..., None] * sin_a
+    return w
 
 
 def interaction_coefficient_table(

@@ -89,36 +89,50 @@ class TimeGrid:
         return w
 
 
+def read_only(data: FloatArray) -> FloatArray:
+    """Lock a fresh array against writes and return it, so that a Trajectory
+    built on it adopts it without a copy."""
+    data.setflags(write=False)
+    return data
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Space-time history: row k is the field at t_k. Write-once, immutable."""
+    """Space-time history: row k is the field at t_k. Write-once, immutable.
+
+    Ownership: writeable input is copied, so later writes to it do not reach
+    the trajectory; a read-only float64 array is adopted as it is, with no
+    copy, and whoever hands it over must not write to it through another
+    view. Constant-in-time histories are read-only broadcast views of one row.
+    """
 
     grid: CircleGrid
     tgrid: TimeGrid
     data: FloatArray
 
     def __post_init__(self) -> None:
-        d = np.array(self.data, dtype=np.float64)
+        d = self.data
+        if not (isinstance(d, np.ndarray) and d.dtype == np.float64 and not d.flags.writeable):
+            d = read_only(np.array(d, dtype=np.float64))
         expected = (self.tgrid.n_t + 1, self.grid.n_theta)
         if d.shape != expected:
             raise ValueError(f"trajectory shape {d.shape} != {expected}")
         if not np.all(np.isfinite(d)):
             raise ValueError("trajectory entries must all be finite")
-        d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
     @classmethod
     def zeros(cls, grid: CircleGrid, tgrid: TimeGrid) -> "Trajectory":
-        return cls(grid, tgrid, np.zeros((tgrid.n_t + 1, grid.n_theta)))
+        return cls.constant(grid, tgrid, 0.0)
 
     @classmethod
     def constant(cls, grid: CircleGrid, tgrid: TimeGrid, value: float) -> "Trajectory":
-        return cls(grid, tgrid, np.full((tgrid.n_t + 1, grid.n_theta), value))
+        return cls.from_field(Field.constant(grid, value), tgrid)
 
     @classmethod
     def from_field(cls, field: Field, tgrid: TimeGrid) -> "Trajectory":
-        """Replicate a static field across all time rows."""
-        return cls(field.grid, tgrid, np.tile(field.values, (tgrid.n_t + 1, 1)))
+        """A static field in every time row: a view of its one read-only row."""
+        return cls(field.grid, tgrid, np.broadcast_to(field.values, (tgrid.n_t + 1, field.grid.n_theta)))
 
     def field_at(self, k: int) -> Field:
         return Field(self.grid, self.data[k])
@@ -171,6 +185,16 @@ class ControlSpec:
     gradient_kernel: Callable[[CircleGrid, float, FloatArray, FloatArray, FloatArray], FloatArray]
 
 
+def _interaction_kernel(
+    grid: CircleGrid, alpha: float, q: FloatArray, p: FloatArray, dp: FloatArray
+) -> FloatArray:
+    """w[q] * q * dp, multiplied into the w[q] history in place."""
+    kernel = interaction_values(grid, q, alpha)
+    kernel *= q
+    kernel *= dp
+    return kernel
+
+
 CONTROLS = {
     "u1": ControlSpec(
         baseline=lambda params: 0.0,
@@ -184,7 +208,7 @@ CONTROLS = {
         energy_weight="beta2",
         advects=True,
         units="1",
-        gradient_kernel=lambda grid, alpha, q, p, dp: interaction_values(grid, q, alpha) * q * dp,
+        gradient_kernel=_interaction_kernel,
     ),
     "source": ControlSpec(
         baseline=lambda params: 0.0,
@@ -221,9 +245,10 @@ class ControlSet:
     def array(
         self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
     ) -> FloatArray:
-        """Concrete (n_t+1, n_theta) history of one control."""
+        """Concrete (n_t+1, n_theta) history of one control, read-only; an
+        absent control's is a view of one baseline row."""
         value = self.value(name, grid, tgrid, params)
-        return np.full((tgrid.n_t + 1, grid.n_theta), value) if np.ndim(value) == 0 else value
+        return Trajectory.constant(grid, tgrid, value).data if np.ndim(value) == 0 else value
 
 
 def _state_rate(
@@ -296,7 +321,8 @@ def required_dt(grid: CircleGrid, u1: FloatArray | float, u2: FloatArray | float
     """
 
     def peak(u: FloatArray | float) -> FloatArray | float:
-        return np.abs(u).max(axis=(-2, -1)) if np.ndim(u) else abs(u)
+        # max|u| without an |u| history: negation is exact, so the value is the same
+        return np.maximum(u.max(axis=(-2, -1)), -u.min(axis=(-2, -1))) if np.ndim(u) else abs(u)
 
     speed = peak(u1) + peak(u2) + 1e-12
     return CFL_SAFETY * grid.d_theta / speed
@@ -431,7 +457,7 @@ def solve_state(
     }
     data = _solve_states(q0, given, params, tgrid)
     warn_if_negative(data, "state")
-    return Trajectory(q0.grid, tgrid, data)
+    return Trajectory(q0.grid, tgrid, read_only(data))
 
 
 def _adjoint_rate(
@@ -518,4 +544,4 @@ def solve_adjoint(
     p_end = alpha_t * (qd[-1] - zd[-1])
     rows = range(tgrid.n_t, -1, -1)
     data = _lawson_heun(prop, dt, p_end, rate, rows, "adjoint", lift=grid._ik_first)
-    return Trajectory(grid, tgrid, data)
+    return Trajectory(grid, tgrid, read_only(data))

@@ -80,7 +80,8 @@ class CircleGrid:
 
     def deriv(self, values: FloatArray) -> FloatArray:
         """Spectral d/dtheta of one sample row, or of every row of a stack."""
-        return np.fft.irfft(self._ik_first * np.fft.rfft(values), n=self.n_theta)
+        coef = np.fft.rfft(values)
+        return np.fft.irfft(np.multiply(self._ik_first, coef, out=coef), n=self.n_theta)
 
     def quad(self, values: FloatArray) -> float:
         """Integral over the circle (rectangle rule on the periodic grid)."""

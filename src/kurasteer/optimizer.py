@@ -42,6 +42,7 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _solve_states,
+    read_only,
     solve_adjoint,
     solve_state,
     warn_if_negative,
@@ -158,8 +159,10 @@ class IterationRecord:
 class OptResult:
     """Outcome of optimize; sync_series(result.state) gives its R, psi and mass.
 
-    `uncontrolled` is the state under the baseline controls when the descent
-    started there (its first iterate), else None.
+    state_solves is 1 + line_search_trials (the start and every trial control
+    that was solved), adjoint_solves is 1 + the accepted steps. `uncontrolled`
+    is the state under the baseline controls when the descent started there
+    (its first iterate), else None.
     """
 
     status: str
@@ -167,6 +170,9 @@ class OptResult:
     controls: ControlSet
     state: Trajectory
     adjoint: Trajectory
+    state_solves: int
+    adjoint_solves: int
+    line_search_trials: int
     uncontrolled: Trajectory | None = None
 
     @property
@@ -174,9 +180,13 @@ class OptResult:
         return self.iterates[-1]
 
 
-def space_time_inner(grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatArray) -> float:
-    """L2(dtheta dt) inner product with trapezoidal time weights."""
-    return float(tgrid.trapezoid_weights @ (a * b).sum(axis=1)) * grid.d_theta
+def space_time_inner(
+    grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatArray, out: FloatArray | None = None
+) -> float:
+    """L2(dtheta dt) inner product with trapezoidal time weights. The
+    pointwise product goes into `out` when given: a scratch history, which may
+    be a or b."""
+    return float(tgrid.trapezoid_weights @ np.multiply(a, b, out=out).sum(axis=1)) * grid.d_theta
 
 
 def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> FloatArray:
@@ -185,7 +195,8 @@ def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> Floa
         return arr
     wt = tgrid.trapezoid_weights
     if shape is ControlShape.SPACE_ONLY:
-        avg = wt @ arr / wt.sum()
+        # a broadcast history would take matmul's non-BLAS loop, which rounds differently
+        avg = wt @ np.ascontiguousarray(arr) / wt.sum()
         return np.broadcast_to(avg, arr.shape).copy()
     if shape is ControlShape.TIME_ONLY:
         avg = arr.mean(axis=1)
@@ -250,9 +261,10 @@ def _evaluate(
 def _probe_costs(problem: OcpProblem, u: dict[str, FloatArray]) -> FloatArray:
     """Cost J at each control history of the stacks u (name -> (B, n_t+1,
     n_theta)), from one batched state solve, which issues no ResolutionWarning
-    (probes may dip negative, as in _evaluate)."""
+    (probes may dip negative, as in _evaluate). Read-only stacks are adopted
+    by the probes' trajectories without a copy."""
     grid, tgrid = problem.grid, problem.tgrid
-    states = _solve_states(problem.q0, u, problem.params, tgrid)
+    states = read_only(_solve_states(problem.q0, u, problem.params, tgrid))
     costs = []
     for i, q in enumerate(states):
         cs = _control_set({n: arr[i] for n, arr in u.items()}, grid, tgrid)
@@ -277,15 +289,18 @@ def cost(
     grid, tgrid = q_traj.grid, q_traj.tgrid
     if z_traj.data.shape != q_traj.data.shape:
         raise ValueError("state and target trajectories have mismatched shapes")
-    mis = q_traj.data - z_traj.data
-    j_q = 0.5 * weights.alpha_r * space_time_inner(grid, tgrid, mis, mis)
-    j_q += 0.5 * weights.alpha_t * float((mis[-1] ** 2).sum()) * grid.d_theta
+    # one scratch history holds the mismatch, then each control's deviation,
+    # and is squared in place
+    scratch = np.subtract(q_traj.data, z_traj.data)
+    j_q = 0.5 * weights.alpha_r * space_time_inner(grid, tgrid, scratch, scratch, out=scratch)
+    j_q += 0.5 * weights.alpha_t * float(scratch[-1].sum()) * grid.d_theta
 
     j_u = 0.0
     for name in mode.active_controls:
         spec = CONTROLS[name]
-        dev = controls.array(name, grid, tgrid, params) - weights.penalty_offset(spec, params)
-        j_u += 0.5 * weights.beta(spec) * space_time_inner(grid, tgrid, dev, dev)
+        offset = weights.penalty_offset(spec, params)
+        np.subtract(controls.array(name, grid, tgrid, params), offset, out=scratch)
+        j_u += 0.5 * weights.beta(spec) * space_time_inner(grid, tgrid, scratch, scratch, out=scratch)
     return j_q + j_u, j_q, j_u
 
 
@@ -304,14 +319,31 @@ def reduced_gradient(
     out: dict[str, FloatArray] = {}
     for name in mode.active_controls:
         spec = CONTROLS[name]
-        dev = controls.array(name, grid, tgrid, params) - weights.penalty_offset(spec, params)
-        kernel = spec.gradient_kernel(grid, params.alpha, q_traj.data, p_traj.data, dp)
-        out[name] = shape_project(weights.beta(spec) * dev + kernel, shape, tgrid)
+        grad = np.subtract(controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params))
+        grad *= weights.beta(spec)
+        grad += spec.gradient_kernel(grid, params.alpha, q_traj.data, p_traj.data, dp)
+        out[name] = shape_project(grad, shape, tgrid)
     return out
 
 
 def _grad_norm(grid: CircleGrid, tgrid: TimeGrid, g: dict[str, FloatArray]) -> float:
     return float(np.sqrt(sum(space_time_inner(grid, tgrid, a, a) for a in g.values())))
+
+
+def _polak_ribiere(
+    grid: CircleGrid,
+    tgrid: TimeGrid,
+    g: dict[str, FloatArray],
+    d: dict[str, FloatArray],
+    prev: tuple[dict[str, FloatArray], dict[str, FloatArray]],
+) -> dict[str, FloatArray]:
+    """Polak-Ribiere direction from the last step's (gradient, direction) when
+    it is a descent direction, else the steepest-descent direction d = -g."""
+    g_prev, d_prev = prev
+    denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
+    beta = max(0.0, sum(space_time_inner(grid, tgrid, g[n], g[n] - g_prev[n]) for n in g) / denom)
+    d_try = {n: -g[n] + beta * d_prev[n] for n in g}
+    return d_try if sum(space_time_inner(grid, tgrid, d_try[n], g[n]) for n in g) < 0.0 else d
 
 
 def sync_series(traj: Trajectory) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
@@ -341,27 +373,40 @@ def optimize(problem: OcpProblem) -> OptResult:
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
     mode, weights, cfg = problem.mode, problem.weights, problem.optimizer
     caps = _advective_caps(problem)
+    trials = 0
 
-    def clip(u_try: dict[str, FloatArray]) -> dict[str, FloatArray]:
-        return {
-            n: np.clip(arr, -caps[n], caps[n]) if n in caps else arr
-            for n, arr in u_try.items()
-        }
+    def trial(u, g, d, s, j_cur):
+        """(u_try, controls, state, costs) of the candidate P(u + s*d) if it
+        passes the Armijo test, else None. The candidate is built in place as
+        one fresh read-only array per control; nothing of a rejected trial
+        outlives the call."""
+        nonlocal trials
+        u_try, pred = {}, 0.0
+        for n in u:
+            arr = np.multiply(s, d[n])
+            arr += u[n]
+            if n in caps:
+                np.clip(arr, -caps[n], caps[n], out=arr)
+            u_try[n] = read_only(arr)
+            # predicted decrease <g, u - P(u + s d)>; equals s*<g, -d> unclipped
+            diff = np.subtract(u[n], arr)
+            pred += space_time_inner(grid, tgrid, g[n], diff, out=diff)
+        del diff
+        if not pred > 0.0:
+            return None
+        trials += 1
+        try:
+            cs_try, q_try, costs = _evaluate(problem, u_try)
+        except (CFLError, NumericsError):
+            return None
+        return (u_try, cs_try, q_try, costs) if costs[0] <= j_cur - cfg.armijo_c * pred else None
 
     def armijo(u, g, d, j_cur, s_start):
         s = s_start
         for bt in range(cfg.max_backtracks + 1):
-            u_try = clip({n: u[n] + s * d[n] for n in u})
-            # predicted decrease <g, u - P(u + s d)>; equals s*<g, -d> unclipped
-            pred = sum(space_time_inner(grid, tgrid, g[n], u[n] - u_try[n]) for n in u)
-            if pred > 0.0:
-                try:
-                    cs_try, q_try, (j_try, jq_try, ju_try) = _evaluate(problem, u_try)
-                except (CFLError, NumericsError):
-                    s *= cfg.backtrack_factor
-                    continue
-                if j_try <= j_cur - cfg.armijo_c * pred:
-                    return s, bt, u_try, cs_try, q_try, (j_try, jq_try, ju_try)
+            hit = trial(u, g, d, s, j_cur)
+            if hit is not None:
+                return s, bt, *hit
             s *= cfg.backtrack_factor
         return None
 
@@ -370,13 +415,13 @@ def optimize(problem: OcpProblem) -> OptResult:
     at_baseline = all(np.all(arr == CONTROLS[n].baseline(params)) for n, arr in u.items())
     uncontrolled = q_traj if at_baseline else None
     p_traj = solve_adjoint(q_traj, problem.target, cs, params, (weights.alpha_r, weights.alpha_t))
+    adjoint_solves = 1
 
     records: list[IterationRecord] = []
     status = "max_iters"
     step_used, bt_used = 0.0, 0
     s_start = cfg.initial_step
-    g_prev: dict[str, FloatArray] | None = None
-    d_prev: dict[str, FloatArray] | None = None
+    prev = None  # (gradient, direction) of the last step, which only NCG reads
 
     for it in range(cfg.max_iters + 1):
         g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
@@ -397,15 +442,9 @@ def optimize(problem: OcpProblem) -> OptResult:
             break
 
         d = {n: -g[n] for n in g}
-        if cfg.method == "ncg" and g_prev is not None and d_prev is not None:
-            denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
-            beta = max(
-                0.0,
-                sum(space_time_inner(grid, tgrid, g[n], g[n] - g_prev[n]) for n in g) / denom,
-            )
-            d_try = {n: -g[n] + beta * d_prev[n] for n in g}
-            if sum(space_time_inner(grid, tgrid, d_try[n], g[n]) for n in g) < 0.0:
-                d = d_try
+        if prev is not None:
+            d = _polak_ribiere(grid, tgrid, g, d, prev)
+            prev = None
 
         hit = armijo(u, g, d, j, s_start)
         if hit is None:
@@ -414,8 +453,12 @@ def optimize(problem: OcpProblem) -> OptResult:
             status = "stalled"
             break
         s_acc, bt, u, cs, q_traj, (j, j_q, j_u) = hit
+        if cfg.method == "ncg":
+            prev = g, d
+        # the old adjoint, gradient and direction are not read again
+        del p_traj, g, d
         p_traj = solve_adjoint(q_traj, problem.target, cs, params, (weights.alpha_r, weights.alpha_t))
-        g_prev, d_prev = g, d
+        adjoint_solves += 1
         step_used, bt_used = s_acc, bt
         s_start = 2.0 * s_acc if bt == 0 else s_acc
 
@@ -426,6 +469,9 @@ def optimize(problem: OcpProblem) -> OptResult:
         controls=cs,
         state=q_traj,
         adjoint=p_traj,
+        state_solves=1 + trials,
+        adjoint_solves=adjoint_solves,
+        line_search_trials=trials,
         uncontrolled=uncontrolled,
     )
 
@@ -538,7 +584,7 @@ def gradient_check(
         delta, g_adj = draw_direction()
         steps = np.concatenate((eps_sweep, -eps_sweep))[:, None, None]
         j_plus, j_minus = np.split(
-            _probe_costs(problem, {n: u0[n] + steps * delta[n] for n in u0}), 2
+            _probe_costs(problem, {n: read_only(u0[n] + steps * delta[n]) for n in u0}), 2
         )
         fd_arr = (j_plus - j_minus) / (2.0 * eps_sweep)
         if max(abs(g_adj), float(np.max(np.abs(fd_arr)))) <= zero_floor:

@@ -48,7 +48,8 @@ def write_convergence_csv(path: Path, iterates: Iterable[IterationRecord]) -> No
 
 def write_field_file(path: Path, traj: Trajectory, name: str, units: str) -> None:
     """Raw little-endian float64 samples, time-major rows, plus a JSON sidecar."""
-    traj.data.astype("<f8").tofile(path)
+    # no copy unless the history is a broadcast view or not little-endian
+    np.ascontiguousarray(traj.data, dtype="<f8").tofile(path)
     header = {
         "field": name,
         "units": units,
@@ -76,4 +77,5 @@ def write_json(path: Path, payload: dict) -> None:
 
 def tracking_error_series(grid: CircleGrid, state: Trajectory, target: Trajectory) -> FloatArray:
     """Integral of (q - z)^2 over the circle at every stored time."""
-    return grid.quad_rows((state.data - target.data) ** 2)
+    err = np.subtract(state.data, target.data)
+    return grid.quad_rows(np.multiply(err, err, out=err))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,19 @@ def cosine_density(grid):
 @pytest.fixture
 def unit_timegrid():
     return TimeGrid(1.0, 200)
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes that a call allocates and holds at once (tracemalloc),
+    counting nothing that was allocated before it."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

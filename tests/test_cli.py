@@ -12,6 +12,7 @@ from kurasteer import ControlSet, CostWeights, CouplingParams, OptimizerConfig, 
 from kurasteer.checks import check_mass_and_bound
 from kurasteer.cli import main
 from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
+from kurasteer.grid import random_bandlimited
 from kurasteer.outputs import read_field_file
 
 FAST = [
@@ -115,6 +116,25 @@ class TestConfig:
         assert code == 1
         assert "initial_controls.source_file" in capsys.readouterr().err
         assert not (tmp_path / "x" / "summary.json").exists()
+
+    def test_control_file_read_once(self, tmp_path, traced_peak):
+        # the file's one array, perturbed in place and adopted read-only
+        n_theta, n_t, seed, scale = 64, 800, 3, 0.3
+        path = tmp_path / "u2.f64"
+        start = 1.0 + 0.01 * np.random.default_rng(0).standard_normal((n_t + 1, n_theta))
+        start.astype("<f8").tofile(path)
+        runcfg = RunConfig.from_dict(load_config(None, [
+            f"discretization.n_theta={n_theta}", f"discretization.n_t={n_t}", "mode=interaction",
+            f"initial_controls.u2_file={path}", f"initial_controls.perturbation_scale={scale}",
+        ], None, seed))
+        runcfg.initial_controls()  # loads what the first call imports
+        held = []
+        peak = traced_peak(lambda: held.append(runcfg.initial_controls()))
+        assert peak <= 1.2 * (n_t + 1) * n_theta * 8
+        bump = random_bandlimited(runcfg.grid, np.random.default_rng(seed), scale=scale).values
+        u2 = held[0].u2.data
+        assert not u2.flags.writeable
+        assert np.array_equal(u2, start + bump[None, :])
 
     @pytest.mark.parametrize("scale", ["-0.1", "NaN"])
     def test_bad_perturbation_scale_hard_error(self, tmp_path, capsys, scale):
@@ -234,6 +254,19 @@ class TestOptimize:
         summary = json.loads((opt / "summary.json").read_text())
         assert summary["min_density"] == float(read_field_file(opt / "state.f64")[1].min())
         assert summary["baseline"]["min_density"] == float(read_field_file(sim / "state.f64")[1].min())
+
+    def test_solve_counts_in_summary(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["optimize", "--out", str(out), *OPT_FAST]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        solves = summary["solves"]
+        assert set(solves) == {"state", "adjoint", "line_search_trials"}
+        assert solves["state"] == 1 + solves["line_search_trials"]
+        assert solves["adjoint"] == 1 + summary["iterations"]
+        # each step of this run is found by one line search, all of whose
+        # trials are solved: its backtracks and the accepted trial
+        backtracks = [int(row.split(",")[-1]) for row in (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert solves["line_search_trials"] == sum(bt + 1 for bt in backtracks[1:])
 
     def test_zero_iterations_matches_simulate(self, tmp_path):
         sim, opt = tmp_path / "sim", tmp_path / "opt"

@@ -20,6 +20,7 @@ from kurasteer import (
 )
 from kurasteer.dynamics import _adjoint_rate, _solve_states, _state_rate
 from kurasteer.grid import random_bandlimited
+from kurasteer.outputs import write_field_file
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
 
@@ -78,6 +79,33 @@ class TestTrajectory:
         traj = Trajectory.zeros(grid, TimeGrid(1.0, 3))
         with pytest.raises(ValueError):
             traj.data[0, 0] = 1.0
+
+    def test_writeable_input_copied_read_only_input_adopted(self, grid):
+        tg = TimeGrid(1.0, 3)
+        mine = np.ones((4, grid.n_theta))
+        traj = Trajectory(grid, tg, mine)
+        mine[0, 0] = 5.0
+        assert np.all(traj.data == 1.0)
+        assert not traj.data.flags.writeable
+        handed = np.ones((4, grid.n_theta))
+        handed.setflags(write=False)
+        assert Trajectory(grid, tg, handed).data is handed
+        # read-only but not float64: converted, hence copied
+        ints = np.ones((4, grid.n_theta), dtype=np.int64)
+        ints.setflags(write=False)
+        converted = Trajectory(grid, tg, ints).data
+        assert converted.dtype == np.float64 and not np.shares_memory(converted, ints)
+
+    def test_from_field_is_one_row_written_as_the_tiled_history(self, grid, rng, tmp_path):
+        tg = TimeGrid(1.0, 6)
+        field = random_bandlimited(grid, rng)
+        target = Trajectory.from_field(field, tg)
+        assert np.shares_memory(target.data, field.values)
+        tiled = np.tile(field.values, (tg.n_t + 1, 1))
+        write_field_file(tmp_path / "view.f64", target, "target", "1/rad")
+        write_field_file(tmp_path / "tiled.f64", Trajectory(grid, tg, tiled), "target", "1/rad")
+        assert (tmp_path / "view.f64").read_bytes() == (tmp_path / "tiled.f64").read_bytes()
+        assert (tmp_path / "view.f64").read_bytes() == tiled.astype("<f8").tobytes()
 
 
 class TestStateRhs:
@@ -181,6 +209,16 @@ class TestSolveState:
         src = Trajectory.constant(grid, tg, 0.1 / (2 * np.pi))
         traj = solve_state(gaussian_q0(grid), ControlSet(source=src), params, tg)
         assert integrate(traj.field_at(tg.n_t)) == pytest.approx(1.1, abs=1e-6)
+
+    def test_allocates_one_history(self, coarse_grid, params, traced_peak):
+        # the stepped rows, adopted by the Trajectory without a copy, plus
+        # row-sized buffers and the finiteness mask
+        tgrid = TimeGrid(4.0, 800)
+        q0 = gaussian_q0(coarse_grid)
+        u1 = Trajectory.constant(coarse_grid, tgrid, 0.1)
+        history = (tgrid.n_t + 1) * coarse_grid.n_theta * 8
+        peak = traced_peak(lambda: solve_state(q0, ControlSet(u1=u1), params, tgrid))
+        assert peak <= 1.2 * history
 
     def test_negativity_warning_names_the_caller(self, coarse_grid, params):
         tg = TimeGrid(0.5, 50)
@@ -359,3 +397,13 @@ class TestScalarBaselines:
         p_absent = solve_adjoint(q_absent, z, absent, params, (1.0, 10.0))
         p_explicit = solve_adjoint(q_absent, z, explicit, params, (1.0, 10.0))
         assert np.max(np.abs(p_absent.data - p_explicit.data)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["u1", "u2", "source"])
+    def test_absent_control_array_is_a_read_only_baseline_view(self, coarse_grid, params, name):
+        tg = TimeGrid(1.0, 20)
+        arr = ControlSet().array(name, coarse_grid, tg, params)
+        baseline = params.K if name == "u2" else 0.0
+        assert not arr.flags.writeable
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, np.full((tg.n_t + 1, coarse_grid.n_theta), baseline))
+        assert arr.strides[0] == 0  # one row, repeated in time

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,30 @@ class TestGradientCheck:
         assert all(max(r["floor_rel_errors"]) <= 1e-4 for r in results)
 
 
+class TestMemory:
+    """The descent holds each history once: the target and the baseline
+    controls are views of one row, the trajectories adopt the solvers' and
+    the line search's fresh arrays, and nothing outlives its last read."""
+
+    @pytest.mark.parametrize("mode, extra, seed", [
+        ("velocity", [], None),
+        ("interaction", ["initial_controls.perturbation_scale=0.3"], 1),
+    ], ids=["velocity", "interaction"])
+    def test_descent_peak_histories(self, mode, extra, seed, traced_peak):
+        overrides = ["discretization.n_theta=64", "discretization.n_t=800", "discretization.T=4",
+                     "optimizer.max_iters=4", f"mode={mode}", *extra]
+
+        def build():
+            return RunConfig.from_dict(load_config(None, overrides, None, seed)).problem()
+
+        build()  # loads what the first build imports
+        history = 801 * 64 * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            peak = traced_peak(lambda: optimize(build()))
+        assert peak <= 14 * history
+
+
 class TestOptimize:
     def test_immediate_return_at_stationary_point(self):
         # target = the uncontrolled solution itself: gradient vanishes at start
@@ -502,3 +528,31 @@ class TestOptimize:
         ))
         rolled = np.roll(base.controls.u1.data, shift, axis=1)
         assert np.max(np.abs(rot.controls.u1.data - rolled)) <= 1e-6
+
+    @pytest.mark.parametrize("opt", [
+        OptimizerConfig(max_iters=6),
+        OptimizerConfig(max_iters=4, method="ncg"),
+        OptimizerConfig(max_iters=10, initial_step=1e12, max_backtracks=1, armijo_c=0.999),
+    ], ids=["gd", "ncg", "stalled"])
+    def test_solve_counts(self, opt, monkeypatch):
+        # state solves: the start and every line-search trial; adjoint solves:
+        # the start and every accepted step; both as counted at the solvers
+        grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
+        calls = {"state": 0, "adjoint": 0}
+
+        def counted(kind, solver):
+            def call(*args, **kwargs):
+                calls[kind] += 1
+                return solver(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(optimizer, "solve_state", counted("state", solve_state))
+        monkeypatch.setattr(optimizer, "solve_adjoint", counted("adjoint", solve_adjoint))
+        res = optimize(OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
+            shape=ControlShape.SPACE_TIME, weights=CostWeights(), optimizer=opt, q0=q0, target=z,
+        ))
+        accepted = len(res.iterates) - 1
+        assert res.state_solves == 1 + res.line_search_trials == calls["state"]
+        assert res.adjoint_solves == 1 + accepted == calls["adjoint"]
+        assert res.line_search_trials >= accepted
