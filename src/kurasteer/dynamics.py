@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingParams, interaction_coefficient_table, interaction_values, lagged_basis
-from .grid import CircleGrid, ComplexArray, Field, FloatArray
+from .grid import CircleGrid, ComplexArray, Field, FloatArray, irfft, rfft
 
 CFL_SAFETY = 0.5
 POSITIVITY_TOL = 1e-6
@@ -291,10 +291,10 @@ def _state_rate(
         flux_gain, source_gain = gains[stage]
         if source is None:
             np.multiply(speed, q, out=flux)
-            return flux_gain * np.fft.rfft(flux, out=flux_hat), None
+            return flux_gain * rfft(flux, flux_hat), None
         np.multiply(speed, q, out=flux[0])
         flux[1] = source[..., k, :]
-        np.fft.rfft(flux, out=flux_hat)
+        rfft(flux, flux_hat)
         return flux_gain * flux_hat[0] + source_gain * flux_hat[1], None
 
     return rate
@@ -326,6 +326,23 @@ def required_dt(grid: CircleGrid, u1: FloatArray | float, u2: FloatArray | float
 
     speed = peak(u1) + peak(u2) + 1e-12
     return CFL_SAFETY * grid.d_theta / speed
+
+
+def first_non_finite(data: FloatArray, rows: range) -> int | None:
+    """The first of `rows`, in their order, at which some history of the
+    stack `data` (rows on the second-to-last axis) holds a non-finite value,
+    or None.
+
+    A non-finite row always has a non-finite sum, so only rows whose sum
+    across the stack is not finite get the exact test; a finite row whose sum
+    overflows passes it. No boolean history is made.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = data.sum(axis=-1)
+    finite = np.isfinite(sums).reshape(-1, data.shape[-2]).all(axis=0)
+    if finite.all():
+        return None
+    return next((k for k in rows if not (finite[k] or np.isfinite(data[..., k, :]).all())), None)
 
 
 def _lawson_heun(
@@ -361,32 +378,36 @@ def _lawson_heun(
     FFT calls, each into an output made once per solve or into the row it
     fills, and a solve one more: the transform of y0, which row rows[0]
     stores exactly. Returns the rows along the second-to-last axis.
+
+    Finiteness is checked once, after the last step: the first non-finite
+    row in integration order names the step at which the solve went bad.
     """
     n = y0.shape[-1]
     data = np.empty(y0.shape[:-1] + (len(rows), n))
     data[..., rows[0], :] = y = y0
-    y_hat = np.fft.rfft(y0)
+    y_hat = rfft(y0)
     x = np.empty(y0.shape)
     if lift is not None:
         pair_hat = np.empty((2,) + y_hat.shape, dtype=y_hat.dtype)
         pair = np.empty((2,) + y0.shape)
     for a, b in zip(rows[:-1], rows[1:]):
         p_y = prop * y_hat
-        pred = p_y + rate(a, y if lift is None else np.fft.irfft(lift * y_hat, n=n, out=x), y_hat, 0)[0]
+        pred = p_y + rate(a, y if lift is None else irfft(lift * y_hat, n, x), y_hat, 0)[0]
         if lift is None:
             half = 0.5 * (p_y + pred)
-            y_hat = half + rate(b, np.fft.irfft(pred, n=n, out=x), pred, 1)[0]
-            y = np.fft.irfft(y_hat, n=n, out=data[..., b, :])
+            y_hat = half + rate(b, irfft(pred, n, x), pred, 1)[0]
+            y = irfft(y_hat, n, data[..., b, :])
         else:
             np.multiply(lift, pred, out=pair_hat[0])
             half = np.add(p_y, pred, out=pair_hat[1])
             half *= 0.5
-            x2, h = np.fft.irfft(pair_hat, n=n, out=pair)
+            x2, h = irfft(pair_hat, n, pair)
             inc_hat, inc = rate(b, x2, pred, 1)
             y_hat = half + inc_hat
-            y = np.add(h, inc, out=data[..., b, :])
-        if not np.isfinite(y).all():
-            raise NumericsError(f"{name} became non-finite at step {b} (t={b * dt:.6g})")
+            np.add(h, inc, out=data[..., b, :])
+    bad = first_non_finite(data, rows[1:])
+    if bad is not None:
+        raise NumericsError(f"{name} became non-finite at step {bad} (t={bad * dt:.6g})")
     return data
 
 
@@ -507,7 +528,7 @@ def _adjoint_rate(
         np.add(r, np.vecdot(g, basis) @ lagged, out=r)
         if forcing is not None:
             np.add(r, forcing[m], out=r)
-        np.fft.rfft(r, out=r_hat)
+        rfft(r, r_hat)
         gain = gains[stage]
         return (r_hat if gain is None else gain * r_hat), r
 

@@ -18,7 +18,8 @@ from kurasteer import (
     solve_state,
     sync_series,
 )
-from kurasteer.dynamics import _adjoint_rate, _solve_states, _state_rate
+from kurasteer import dynamics
+from kurasteer.dynamics import _adjoint_rate, _solve_states, _state_rate, first_non_finite
 from kurasteer.grid import random_bandlimited
 from kurasteer.outputs import write_field_file
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
@@ -351,26 +352,68 @@ class TestBatchedStepper:
         with pytest.raises(NumericsError, match="state became non-finite at step 5"), np.errstate(invalid="ignore"):
             _solve_states(gaussian_q0(grid), controls, CouplingParams(), tg)
 
+    def test_non_finite_single_history_names_its_step(self, coarse_grid):
+        grid, tg = coarse_grid, TimeGrid(1.0, 200)
+        source = np.full((tg.n_t + 1, grid.n_theta), 0.01)
+        source[40, 7] = np.inf  # first used by the stage-2 rate of step 40
+        with pytest.raises(NumericsError, match=r"state became non-finite at step 40 \(t=0.2\)"), np.errstate(
+            invalid="ignore"
+        ):
+            _solve_states(gaussian_q0(grid), {"source": source}, CouplingParams(), tg)
+
+    def test_non_finite_adjoint_names_its_step_in_reversed_order(self):
+        # solve_adjoint checks no CFL limit: a huge finite u1 row overflows it
+        grid, tg, params = CircleGrid(32), TimeGrid(1.0, 200), CouplingParams()
+        u1 = np.full((tg.n_t + 1, grid.n_theta), 0.2)
+        u1[120] = 1e300
+        q = solve_state(gaussian_q0(grid), ControlSet(), params, tg)
+        z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
+        controls = ControlSet(u1=Trajectory(grid, tg, u1))
+        with pytest.raises(NumericsError, match=r"adjoint became non-finite at step 119 \(t=0.595\)"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            solve_adjoint(q, z, controls, params, (1.0, 10.0))
+
+    def test_first_non_finite_screens_row_sums_exactly(self):
+        data = np.zeros((2, 6, 8))
+        data[:, 2] = 1e308  # finite rows whose sums overflow
+        data[1, 4] = -1e308
+        assert first_non_finite(data, range(6)) is None
+        assert first_non_finite(data[0], range(5, -1, -1)) is None
+        data[0, 1, 3] = np.nan
+        data[1, 4, 0] = np.inf
+        assert first_non_finite(data, range(6)) == 1
+        assert first_non_finite(data, range(5, -1, -1)) == 4
+        assert first_non_finite(data[1], range(6)) == 4
+        assert first_non_finite(data, range(2, 6)) == 4
+
     @pytest.mark.parametrize("with_source", [False, True])
     def test_four_fft_calls_per_step(self, coarse_grid, monkeypatch, with_source):
         grid, tg, params = coarse_grid, TimeGrid(1.0, 200), CouplingParams()
         src = Trajectory.constant(grid, tg, 0.01) if with_source else None
         controls = ControlSet(u1=Trajectory.constant(grid, tg, 0.2), source=src)
         z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
-        calls = {"rfft": 0, "irfft": 0}
-        for name in calls:
-            original = getattr(np.fft, name)
+        # the solvers transform through the package's helpers, never np.fft
+        calls = {(module, name): 0 for module in (dynamics, np.fft) for name in ("rfft", "irfft")}
+        for module, name in calls:
+            original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _key=(module, name), _original=original, **kwargs):
+                calls[_key] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
+
+        def counts():
+            helpers = calls[dynamics, "rfft"] + calls[dynamics, "irfft"]
+            public = calls[np.fft, "rfft"] + calls[np.fft, "irfft"]
+            calls.update(dict.fromkeys(calls, 0))
+            return helpers, public
+
         q = solve_state(gaussian_q0(grid), controls, params, tg)
-        assert sum(calls.values()) == 4 * tg.n_t + 1
-        calls.update(rfft=0, irfft=0)
+        assert counts() == (4 * tg.n_t + 1, 0)
         solve_adjoint(q, z, controls, params, (1.0, 10.0))
-        assert sum(calls.values()) == 4 * tg.n_t + 1
+        assert counts() == (4 * tg.n_t + 1, 0)
 
 
 class TestScalarBaselines:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kurasteer import CircleGrid, Field, ddtheta, integrate
-from kurasteer.grid import random_bandlimited
+from kurasteer.grid import irfft, random_bandlimited, rfft
 
 
 def diffuse(f, diffusion, dt):
@@ -22,6 +22,46 @@ class TestCircleGrid:
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             CircleGrid(n)
+
+
+class TestTransforms:
+    """rfft and irfft are numpy's public transforms, bit for bit, without
+    their argument handling; a numpy that changes either fails here."""
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128, 250])
+    def test_rows_and_stacks_bit_equal_numpy(self, n, rng):
+        for shape in [(n,), (5, n)]:
+            x = rng.standard_normal(shape)
+            c = np.empty(shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+            assert rfft(x, c) is c
+            assert np.array_equal(c, np.fft.rfft(x))
+            y = np.empty(shape)
+            assert irfft(c, n, y) is y
+            assert np.array_equal(y, np.fft.irfft(c, n=n))
+            assert np.array_equal(rfft(x), c) and np.array_equal(irfft(c, n), y)
+
+    def test_read_only_broadcast_input(self, grid, rng):
+        row = rng.standard_normal(grid.n_theta)
+        row.setflags(write=False)
+        stack = np.broadcast_to(row, (3, grid.n_theta))
+        assert np.array_equal(rfft(stack), np.fft.rfft(stack))
+
+    def test_strided_out_row_of_a_stacked_history(self, grid, rng):
+        c = np.fft.rfft(rng.standard_normal((3, grid.n_theta)))
+        data = np.zeros((3, 7, grid.n_theta))
+        out = data[..., 4, :]
+        assert irfft(c, grid.n_theta, out) is out
+        assert np.array_equal(data[..., 4, :], np.fft.irfft(c, n=grid.n_theta))
+        assert not data[..., :4, :].any() and not data[..., 5:, :].any()
+
+    def test_irfft_ignores_imaginary_parts_at_modes_0_and_nyquist(self, grid, rng):
+        m = grid.n_theta // 2 + 1
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert c[0].imag != 0.0 and c[-1].imag != 0.0
+        y = irfft(c, grid.n_theta)
+        assert np.array_equal(y, np.fft.irfft(c, n=grid.n_theta))
+        c[0], c[-1] = c[0].real, c[-1].real
+        assert np.array_equal(y, irfft(c, grid.n_theta))
 
 
 class TestField:
