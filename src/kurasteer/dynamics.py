@@ -40,6 +40,8 @@ from .grid import CircleGrid, ComplexArray, Field, FloatArray, irfft, rfft
 
 CFL_SAFETY = 0.5
 POSITIVITY_TOL = 1e-6
+# rows per block in which whole-history temporaries and reductions are made
+ROW_BLOCK = 256
 
 # rate(k, x, c, stage) -> (stage increment as rfft coefficients, its samples or None)
 Rate = Callable[[int, FloatArray, ComplexArray, int], tuple[ComplexArray, FloatArray | None]]
@@ -89,6 +91,12 @@ class TimeGrid:
         return w
 
 
+def row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive slices of at most ROW_BLOCK rows that cover n_rows rows;
+    row k lies in block k // ROW_BLOCK."""
+    return [slice(lo, min(lo + ROW_BLOCK, n_rows)) for lo in range(0, n_rows, ROW_BLOCK)]
+
+
 def read_only(data: FloatArray) -> FloatArray:
     """Lock a fresh array against writes and return it, so that a Trajectory
     built on it adopts it without a copy."""
@@ -117,7 +125,7 @@ class Trajectory:
         expected = (self.tgrid.n_t + 1, self.grid.n_theta)
         if d.shape != expected:
             raise ValueError(f"trajectory shape {d.shape} != {expected}")
-        if not np.all(np.isfinite(d)):
+        if first_non_finite(d, range(expected[0])) is not None:
             raise ValueError("trajectory entries must all be finite")
         object.__setattr__(self, "data", d)
 
@@ -497,37 +505,52 @@ def _adjoint_rate(
 
     With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*(q - z).
     q and z are (n_t+1, n_theta) histories, u1 and u2 histories or scalar
-    baselines. What does not depend on p is made once for the whole history,
-    already times `scale`: the speed scale*(u2*w[q] + u1), the carried
-    density u2*q (q itself when u2 is a scalar, which then scales the w*
-    table) and the forcing scale*alpha_r*(q - z). rate(m, dp, c, stage)
-    ignores the coefficients c and returns gains[stage] times the rfft of r
-    (r^ alone for a None gain) and r, with r = scale times the rate at row m;
-    both live in buffers made here.
+    baselines. What does not depend on p is made one block of rows at a time
+    (see row_blocks), when the backward sweep first reaches the block, and is
+    released when it leaves it, already times `scale`: the speed
+    scale*(u2*w[q] + u1), the carried density u2*q (q itself when u2 is a
+    scalar, which then scales the w* table) and the forcing
+    scale*alpha_r*(q - z). rate(m, dp, c, stage) ignores the coefficients c
+    and returns gains[stage] times the rfft of r (r^ alone for a None gain)
+    and r, with r = scale times the rate at row m; both live in buffers made
+    here.
     """
-    speed = interaction_values(grid, q, alpha)
-    speed *= u2
-    speed += u1
-    speed *= scale
-    carried, weight = (q, scale * u2) if np.ndim(u2) == 0 else (u2 * q, scale)
+    fixed = np.ndim(u2) == 0
+    weight = scale * u2 if fixed else scale
     # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s)
     # of g, the dot products of the row g with the moment basis times d_theta
     basis = grid.moment_basis
     cos_a, sin_a = lagged_basis(grid, -alpha)
     lagged = (weight * grid.d_theta) * np.stack((sin_a, -cos_a))
-    forcing = None
-    if alpha_r != 0.0:
-        forcing = q - z
-        forcing *= scale * alpha_r
+    blocks = row_blocks(len(q))
+    held = None  # (first row, speed, carried, forcing) of the block being swept
     g, r = np.empty((2, grid.n_theta))
     r_hat = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
 
+    def block_terms(rows: slice) -> tuple[int, FloatArray, FloatArray, FloatArray | None]:
+        qb = q[rows]
+        speed = interaction_values(grid, qb, alpha)
+        speed *= u2 if fixed else u2[rows]
+        speed += u1 if np.ndim(u1) == 0 else u1[rows]
+        speed *= scale
+        forcing = None
+        if alpha_r != 0.0:
+            forcing = qb - z[rows]
+            forcing *= scale * alpha_r
+        return rows.start, speed, qb if fixed else u2[rows] * qb, forcing
+
     def rate(m: int, dp: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, FloatArray]:
-        np.multiply(carried[m], dp, out=g)
-        np.multiply(speed[m], dp, out=r)
+        nonlocal held
+        if held is None or m < held[0]:
+            held = None  # the swept block is not read again
+            held = block_terms(blocks[m // ROW_BLOCK])
+        start, speed, carried, forcing = held
+        i = m - start
+        np.multiply(carried[i], dp, out=g)
+        np.multiply(speed[i], dp, out=r)
         np.add(r, np.vecdot(g, basis) @ lagged, out=r)
         if forcing is not None:
-            np.add(r, forcing[m], out=r)
+            np.add(r, forcing[i], out=r)
         rfft(r, r_hat)
         gain = gains[stage]
         return (r_hat if gain is None else gain * r_hat), r

@@ -43,6 +43,7 @@ from .dynamics import (
     Trajectory,
     _solve_states,
     read_only,
+    row_blocks,
     solve_adjoint,
     solve_state,
     warn_if_negative,
@@ -160,7 +161,10 @@ class OptResult:
     """Outcome of optimize; sync_series(result.state) gives its R, psi and mass.
 
     state_solves is 1 + line_search_trials (the start and every trial control
-    that was solved), adjoint_solves is 1 + the accepted steps. `uncontrolled`
+    that was solved), adjoint_solves is 1 + the accepted steps. A "stalled"
+    run adds one to each: the descent does not hold the state and adjoint of
+    its iterate through the line search, and solves both again at the
+    returned controls, which line_search_trials does not count. `uncontrolled`
     is the state under the baseline controls when the descent started there
     (its first iterate), else None.
     """
@@ -180,13 +184,38 @@ class OptResult:
         return self.iterates[-1]
 
 
-def space_time_inner(
-    grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatArray, out: FloatArray | None = None
-) -> float:
-    """L2(dtheta dt) inner product with trapezoidal time weights. The
-    pointwise product goes into `out` when given: a scratch history, which may
-    be a or b."""
-    return float(tgrid.trapezoid_weights @ np.multiply(a, b, out=out).sum(axis=1)) * grid.d_theta
+def _row_sums(shape: tuple[int, int], fill) -> FloatArray:
+    """Row sums of a history that is made one block of rows at a time:
+    fill(rows, out) writes rows `rows` of it into the scratch block `out` and
+    returns it. Each row is summed as it would be in the whole history."""
+    blocks = row_blocks(shape[0])
+    sums = np.empty(shape[0])
+    scratch = np.empty((blocks[0].stop, shape[1]))
+    for rows in blocks:
+        fill(rows, scratch[: rows.stop - rows.start]).sum(axis=1, out=sums[rows])
+    return sums
+
+
+def _quadrature(grid: CircleGrid, tgrid: TimeGrid, row_sums: FloatArray) -> float:
+    """L2(dtheta dt) integral of a history from its row sums."""
+    return float(tgrid.trapezoid_weights @ row_sums) * grid.d_theta
+
+
+def space_time_inner(grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatArray) -> float:
+    """L2(dtheta dt) inner product with trapezoidal time weights."""
+    sums = _row_sums(a.shape, lambda rows, out: np.multiply(a[rows], b[rows], out=out))
+    return _quadrature(grid, tgrid, sums)
+
+
+def _difference_sums(a: FloatArray, b: FloatArray | float, c: FloatArray | None = None) -> FloatArray:
+    """Row sums of c*(a - b), or of (a - b)**2 when c is None, for histories
+    a and c and a history or scalar b."""
+
+    def fill(rows: slice, out: FloatArray) -> FloatArray:
+        np.subtract(a[rows], b[rows] if np.ndim(b) else b, out=out)
+        return np.multiply(out if c is None else c[rows], out, out=out)
+
+    return _row_sums(a.shape, fill)
 
 
 def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> FloatArray:
@@ -289,18 +318,17 @@ def cost(
     grid, tgrid = q_traj.grid, q_traj.tgrid
     if z_traj.data.shape != q_traj.data.shape:
         raise ValueError("state and target trajectories have mismatched shapes")
-    # one scratch history holds the mismatch, then each control's deviation,
-    # and is squared in place
-    scratch = np.subtract(q_traj.data, z_traj.data)
-    j_q = 0.5 * weights.alpha_r * space_time_inner(grid, tgrid, scratch, scratch, out=scratch)
-    j_q += 0.5 * weights.alpha_t * float(scratch[-1].sum()) * grid.d_theta
+    mismatch = _difference_sums(q_traj.data, z_traj.data)
+    j_q = 0.5 * weights.alpha_r * _quadrature(grid, tgrid, mismatch)
+    j_q += 0.5 * weights.alpha_t * float(mismatch[-1]) * grid.d_theta
 
     j_u = 0.0
     for name in mode.active_controls:
         spec = CONTROLS[name]
-        offset = weights.penalty_offset(spec, params)
-        np.subtract(controls.array(name, grid, tgrid, params), offset, out=scratch)
-        j_u += 0.5 * weights.beta(spec) * space_time_inner(grid, tgrid, scratch, scratch, out=scratch)
+        deviation = _difference_sums(
+            controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params)
+        )
+        j_u += 0.5 * weights.beta(spec) * _quadrature(grid, tgrid, deviation)
     return j_q + j_u, j_q, j_u
 
 
@@ -313,17 +341,24 @@ def reduced_gradient(
     params: CouplingParams,
     shape: ControlShape = ControlShape.SPACE_TIME,
 ) -> dict[str, FloatArray]:
-    """Space-time gradient arrays for every active control of the mode."""
+    """Space-time gradient arrays for every active control of the mode.
+
+    dp/dtheta and the gradient kernels are made one block of rows at a time
+    and added into the gradients as they are made."""
     grid, tgrid = q_traj.grid, q_traj.tgrid
-    dp = grid.deriv(p_traj.data)
-    out: dict[str, FloatArray] = {}
+    q, p = q_traj.data, p_traj.data
+    grads: dict[str, FloatArray] = {}
     for name in mode.active_controls:
         spec = CONTROLS[name]
         grad = np.subtract(controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params))
         grad *= weights.beta(spec)
-        grad += spec.gradient_kernel(grid, params.alpha, q_traj.data, p_traj.data, dp)
-        out[name] = shape_project(grad, shape, tgrid)
-    return out
+        grads[name] = grad
+    for rows in row_blocks(len(q)):
+        dp = grid.deriv(p[rows])
+        for name, grad in grads.items():
+            grad[rows] += CONTROLS[name].gradient_kernel(grid, params.alpha, q[rows], p[rows], dp)
+        del dp  # before the next block's is made
+    return {name: shape_project(grad, shape, tgrid) for name, grad in grads.items()}
 
 
 def _grad_norm(grid: CircleGrid, tgrid: TimeGrid, g: dict[str, FloatArray]) -> float:
@@ -334,16 +369,16 @@ def _polak_ribiere(
     grid: CircleGrid,
     tgrid: TimeGrid,
     g: dict[str, FloatArray],
-    d: dict[str, FloatArray],
     prev: tuple[dict[str, FloatArray], dict[str, FloatArray]],
 ) -> dict[str, FloatArray]:
-    """Polak-Ribiere direction from the last step's (gradient, direction) when
-    it is a descent direction, else the steepest-descent direction d = -g."""
-    g_prev, d_prev = prev
+    """Negated Polak-Ribiere direction -d from the last step's (gradient, -d)
+    when d is a descent direction, else the gradient g itself (d = -g).
+    Negation is exact, so -d holds the same values as d but for sign."""
+    g_prev, e_prev = prev
     denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
     beta = max(0.0, sum(space_time_inner(grid, tgrid, g[n], g[n] - g_prev[n]) for n in g) / denom)
-    d_try = {n: -g[n] + beta * d_prev[n] for n in g}
-    return d_try if sum(space_time_inner(grid, tgrid, d_try[n], g[n]) for n in g) < 0.0 else d
+    e_try = {n: g[n] + beta * e_prev[n] for n in g}
+    return e_try if sum(space_time_inner(grid, tgrid, e_try[n], g[n]) for n in g) > 0.0 else g
 
 
 def sync_series(traj: Trajectory) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
@@ -369,29 +404,33 @@ def optimize(problem: OcpProblem) -> OptResult:
     line search exhausts its backtracks from the current starting step, it
     retries once from 1/100 of that step before the run stops with status
     "stalled", keeping the best iterate found.
+
+    The line search reads neither the state nor the adjoint of its start,
+    and the descent does not hold them through it: a stalled run solves both
+    again at the control it returns (see OptResult).
     """
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
     mode, weights, cfg = problem.mode, problem.weights, problem.optimizer
+    tracking = (weights.alpha_r, weights.alpha_t)
     caps = _advective_caps(problem)
     trials = 0
 
-    def trial(u, g, d, s, j_cur):
-        """(u_try, controls, state, costs) of the candidate P(u + s*d) if it
-        passes the Armijo test, else None. The candidate is built in place as
-        one fresh read-only array per control; nothing of a rejected trial
-        outlives the call."""
+    def trial(u, g, e, s, j_cur):
+        """(u_try, controls, state, costs) of the candidate P(u - s*e) if it
+        passes the Armijo test, else None; e is the negated search direction
+        (the gradient, for GD). The candidate is built in place as one fresh
+        read-only array per control; nothing of a rejected trial outlives the
+        call."""
         nonlocal trials
         u_try, pred = {}, 0.0
         for n in u:
-            arr = np.multiply(s, d[n])
+            arr = np.multiply(-s, e[n])
             arr += u[n]
             if n in caps:
                 np.clip(arr, -caps[n], caps[n], out=arr)
             u_try[n] = read_only(arr)
-            # predicted decrease <g, u - P(u + s d)>; equals s*<g, -d> unclipped
-            diff = np.subtract(u[n], arr)
-            pred += space_time_inner(grid, tgrid, g[n], diff, out=diff)
-        del diff
+            # predicted decrease <g, u - P(u - s e)>; equals s*<g, e> unclipped
+            pred += _quadrature(grid, tgrid, _difference_sums(u[n], arr, g[n]))
         if not pred > 0.0:
             return None
         trials += 1
@@ -401,10 +440,10 @@ def optimize(problem: OcpProblem) -> OptResult:
             return None
         return (u_try, cs_try, q_try, costs) if costs[0] <= j_cur - cfg.armijo_c * pred else None
 
-    def armijo(u, g, d, j_cur, s_start):
+    def armijo(u, g, e, j_cur, s_start):
         s = s_start
         for bt in range(cfg.max_backtracks + 1):
-            hit = trial(u, g, d, s, j_cur)
+            hit = trial(u, g, e, s, j_cur)
             if hit is not None:
                 return s, bt, *hit
             s *= cfg.backtrack_factor
@@ -414,14 +453,14 @@ def optimize(problem: OcpProblem) -> OptResult:
     cs, q_traj, (j, j_q, j_u) = _evaluate(problem, u)
     at_baseline = all(np.all(arr == CONTROLS[n].baseline(params)) for n, arr in u.items())
     uncontrolled = q_traj if at_baseline else None
-    p_traj = solve_adjoint(q_traj, problem.target, cs, params, (weights.alpha_r, weights.alpha_t))
-    adjoint_solves = 1
+    p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
+    state_solves = adjoint_solves = 1
 
     records: list[IterationRecord] = []
     status = "max_iters"
     step_used, bt_used = 0.0, 0
     s_start = cfg.initial_step
-    prev = None  # (gradient, direction) of the last step, which only NCG reads
+    prev = None  # (gradient, negated direction) of the last step, which only NCG reads
 
     for it in range(cfg.max_iters + 1):
         g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
@@ -441,23 +480,30 @@ def optimize(problem: OcpProblem) -> OptResult:
             status = "max_iters"
             break
 
-        d = {n: -g[n] for n in g}
+        # the line search reads neither the state nor the adjoint
+        del q_traj, p_traj
+        e = g
         if prev is not None:
-            d = _polak_ribiere(grid, tgrid, g, d, prev)
+            e = _polak_ribiere(grid, tgrid, g, prev)
             prev = None
 
-        hit = armijo(u, g, d, j, s_start)
+        hit = armijo(u, g, e, j, s_start)
         if hit is None:
-            hit = armijo(u, g, d, j, s_start / 100.0)
+            hit = armijo(u, g, e, j, s_start / 100.0)
         if hit is None:
             status = "stalled"
+            del g, e
+            cs, q_traj, _ = _evaluate(problem, u)
+            p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
+            state_solves += 1
+            adjoint_solves += 1
             break
         s_acc, bt, u, cs, q_traj, (j, j_q, j_u) = hit
         if cfg.method == "ncg":
-            prev = g, d
-        # the old adjoint, gradient and direction are not read again
-        del p_traj, g, d
-        p_traj = solve_adjoint(q_traj, problem.target, cs, params, (weights.alpha_r, weights.alpha_t))
+            prev = g, e
+        # the old gradient and direction are not read again
+        del hit, g, e
+        p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
         adjoint_solves += 1
         step_used, bt_used = s_acc, bt
         s_start = 2.0 * s_acc if bt == 0 else s_acc
@@ -469,7 +515,7 @@ def optimize(problem: OcpProblem) -> OptResult:
         controls=cs,
         state=q_traj,
         adjoint=p_traj,
-        state_solves=1 + trials,
+        state_solves=state_solves + trials,
         adjoint_solves=adjoint_solves,
         line_search_trials=trials,
         uncontrolled=uncontrolled,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from kurasteer import (
     sync_series,
 )
 from kurasteer import dynamics
-from kurasteer.dynamics import _adjoint_rate, _solve_states, _state_rate, first_non_finite
-from kurasteer.grid import random_bandlimited
+from kurasteer.coupling import interaction_values, lagged_basis
+from kurasteer.dynamics import ROW_BLOCK, _adjoint_rate, _solve_states, _state_rate, first_non_finite
+from kurasteer.grid import random_bandlimited, rfft
 from kurasteer.outputs import write_field_file
 from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
@@ -96,6 +99,22 @@ class TestTrajectory:
         ints.setflags(write=False)
         converted = Trajectory(grid, tg, ints).data
         assert converted.dtype == np.float64 and not np.shares_memory(converted, ints)
+
+    def test_read_only_history_with_nan_in_last_row_rejected(self, grid, rng):
+        tg = TimeGrid(10.0, 2000)
+        data = rng.random((tg.n_t + 1, grid.n_theta))
+        data[-1, 7] = np.nan
+        data.setflags(write=False)
+        with pytest.raises(ValueError, match="must all be finite"):
+            Trajectory(grid, tg, data)
+
+    def test_adopting_a_read_only_history_allocates_no_mask(self, grid, rng, traced_peak):
+        # row sums only; a boolean mask of the history would be 1/8 of it
+        tg = TimeGrid(10.0, 2000)
+        data = rng.random((tg.n_t + 1, grid.n_theta))
+        data.setflags(write=False)
+        peak = traced_peak(lambda: Trajectory(grid, tg, data))
+        assert peak < 0.05 * data.nbytes
 
     def test_from_field_is_one_row_written_as_the_tiled_history(self, grid, rng, tmp_path):
         tg = TimeGrid(1.0, 6)
@@ -213,7 +232,7 @@ class TestSolveState:
 
     def test_allocates_one_history(self, coarse_grid, params, traced_peak):
         # the stepped rows, adopted by the Trajectory without a copy, plus
-        # row-sized buffers and the finiteness mask
+        # row-sized buffers
         tgrid = TimeGrid(4.0, 800)
         q0 = gaussian_q0(coarse_grid)
         u1 = Trajectory.constant(coarse_grid, tgrid, 0.1)
@@ -295,6 +314,64 @@ class TestAdjoint:
             + mis
         )
         assert np.max(np.abs(general - reduced)) <= 1e-12
+
+
+def whole_history_adjoint_rate(grid, alpha, q, z, u1, u2, alpha_r, scale, gains):
+    """The adjoint rate with its speed, carried density and forcing made once
+    for the whole history, as they were before they were made by blocks."""
+    speed = interaction_values(grid, q, alpha)
+    speed *= u2
+    speed += u1
+    speed *= scale
+    carried, weight = (q, scale * u2) if np.ndim(u2) == 0 else (u2 * q, scale)
+    basis = grid.moment_basis
+    cos_a, sin_a = lagged_basis(grid, -alpha)
+    lagged = (weight * grid.d_theta) * np.stack((sin_a, -cos_a))
+    forcing = None
+    if alpha_r != 0.0:
+        forcing = q - z
+        forcing *= scale * alpha_r
+    g, r = np.empty((2, grid.n_theta))
+    r_hat = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
+
+    def rate(m, dp, c, stage):
+        np.multiply(carried[m], dp, out=g)
+        np.multiply(speed[m], dp, out=r)
+        np.add(r, np.vecdot(g, basis) @ lagged, out=r)
+        if forcing is not None:
+            np.add(r, forcing[m], out=r)
+        rfft(r, r_hat)
+        gain = gains[stage]
+        return (r_hat if gain is None else gain * r_hat), r
+
+    return rate
+
+
+class TestAdjointRowBlocks:
+    """solve_adjoint makes the adjoint rate's speed, carried density and
+    forcing one block of ROW_BLOCK rows at a time; the adjoint must equal the
+    one from whole-history terms bit for bit, for row counts below, at and
+    straddling the block, at a phase lag."""
+
+    @pytest.mark.parametrize("n_rows", [101, ROW_BLOCK, ROW_BLOCK + 1, 601])
+    @pytest.mark.parametrize("u2_history", [False, True], ids=["scalar_u2", "u2_history"])
+    def test_matches_whole_history_terms(self, n_rows, u2_history, monkeypatch):
+        grid, tg = CircleGrid(16), TimeGrid(1.0, n_rows - 1)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
+        rng = np.random.default_rng(n_rows)
+        shape = (n_rows, grid.n_theta)
+        controls = {"u1": Trajectory(grid, tg, 0.3 * rng.standard_normal(shape))}
+        if u2_history:
+            controls["u2"] = Trajectory(grid, tg, 1.0 + 0.2 * rng.standard_normal(shape))
+        controls = ControlSet(**controls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)  # rough controls may dip negative
+            q = solve_state(gaussian_q0(grid), controls, params, tg)
+        z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
+        blocked = solve_adjoint(q, z, controls, params, (0.7, 10.0))
+        monkeypatch.setattr(dynamics, "_adjoint_rate", whole_history_adjoint_rate)
+        whole = solve_adjoint(q, z, controls, params, (0.7, 10.0))
+        assert np.array_equal(blocked.data, whole.data)
 
 
 class TestBatchedStepper:

@@ -23,10 +23,12 @@ from kurasteer import (
     solve_adjoint,
     solve_state,
 )
-from kurasteer.checks import check_gradients
+from kurasteer.checks import check_gradients, coarse_problem
 from kurasteer.config import RunConfig, load_config
 from kurasteer import optimizer
+from kurasteer.dynamics import CONTROLS, ROW_BLOCK
 from kurasteer.optimizer import (
+    GRADCHECK_TOL,
     _advective_caps,
     _baseline_arrays,
     _evaluate,
@@ -357,6 +359,18 @@ class TestGradientCheck:
         rel = np.abs(fd_batch - check.adjoint_value) / abs(check.adjoint_value)
         assert np.array_equal(rel, np.asarray(check.rel_errors))
 
+    @pytest.mark.parametrize("alpha", [0.5, -2.0])
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_phase_lag_check_problem_passes(self, mode, alpha):
+        # the 64 x 200 check problem with a phase lag, which enters the
+        # coupling, its adjoint's lagged basis and the interaction kernel
+        runcfg = RunConfig.from_dict(load_config(None, [f"physics.alpha={alpha}"]))
+        report = gradient_check(
+            coarse_problem(runcfg, mode), n_directions=int(runcfg.raw["check"]["directions"]), seed=0
+        )
+        assert report.passed
+        assert max(d.floor_rel_error for d in report.directions) <= GRADCHECK_TOL
+
     def test_default_check_problem_seed1_passes(self):
         # interaction direction 3 is most accurate at the largest eps and then
         # rises to the O(dt) floor: a correct gradient that must pass
@@ -388,6 +402,92 @@ class TestMemory:
             warnings.simplefilter("ignore", ResolutionWarning)
             peak = traced_peak(lambda: optimize(build()))
         assert peak <= 14 * history
+
+    @pytest.mark.parametrize("mode, extra, seed, bound", [
+        ("velocity", [], None, 6.3),
+        ("interaction", ["initial_controls.perturbation_scale=0.3"], 1, 5.6),
+    ], ids=["velocity", "interaction"])
+    def test_line_search_holds_five_histories(self, mode, extra, seed, bound, traced_peak):
+        # measured 6.01 (velocity: control, gradient, trial control, trial
+        # state, uncontrolled state) and 5.35 (interaction, which starts off
+        # the baseline and keeps no uncontrolled state), plus row blocks and
+        # the problem; 9.52 and 8.21 when the state, adjoint and direction
+        # were held through the line search and reductions made whole histories
+        overrides = ["discretization.n_theta=64", "discretization.n_t=800", "discretization.T=4",
+                     "optimizer.max_iters=4", f"mode={mode}", *extra]
+
+        def build():
+            return RunConfig.from_dict(load_config(None, overrides, None, seed)).problem()
+
+        build()
+        history = 801 * 64 * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            peak = traced_peak(lambda: optimize(build()))
+        assert peak <= bound * history
+
+
+class TestRowBlocks:
+    """Whole-history reductions and temporaries are made one block of
+    ROW_BLOCK rows at a time; every value must equal that of the
+    whole-history expression, bit for bit, for row counts below, at and
+    straddling the block."""
+
+    ROWS = [101, ROW_BLOCK, ROW_BLOCK + 1, 601]
+
+    @staticmethod
+    def setup_histories(n_rows, alpha=0.5, seed=0):
+        grid, tgrid = CircleGrid(16), TimeGrid(1.0, n_rows - 1)
+        params = CouplingParams(alpha=alpha, D=0.25, K=1.0)
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, grid.n_theta)
+        controls = ControlSet(
+            u1=Trajectory(grid, tgrid, 0.3 * rng.standard_normal(shape)),
+            u2=Trajectory(grid, tgrid, 1.0 + 0.2 * rng.standard_normal(shape)),
+            source=Trajectory(grid, tgrid, 0.01 * rng.standard_normal(shape)),
+        )
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
+        z = Trajectory.from_field(DensitySpec(kind="wrapped_gaussian", mean=3 * np.pi / 2, sigma=0.6).build(grid), tgrid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            q = solve_state(q0, controls, params, tgrid)
+        p = solve_adjoint(q, z, controls, params, (1.0, 10.0))
+        return grid, tgrid, params, controls, q, p, z
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_space_time_inner_and_cost(self, n_rows):
+        grid, tgrid, params, controls, q, p, z = self.setup_histories(n_rows)
+        w, dth = tgrid.trapezoid_weights, grid.d_theta
+        for a, b in ((q.data, p.data), (p.data, z.data), (z.data, z.data)):
+            assert space_time_inner(grid, tgrid, a, b) == float(w @ np.multiply(a, b).sum(axis=1)) * dth
+        weights = CostWeights(alpha_r=0.7, penalize_absolute_u2=False)
+        for mode in ControlMode:
+            scratch = np.subtract(q.data, z.data)
+            np.multiply(scratch, scratch, out=scratch)
+            j_q = 0.5 * weights.alpha_r * (float(w @ scratch.sum(axis=1)) * dth)
+            j_q += 0.5 * weights.alpha_t * float(scratch[-1].sum()) * dth
+            j_u = 0.0
+            for name in mode.active_controls:
+                spec = CONTROLS[name]
+                np.subtract(controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params), out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                j_u += 0.5 * weights.beta(spec) * (float(w @ scratch.sum(axis=1)) * dth)
+            assert cost(q, z, controls, weights, mode, params) == (j_q + j_u, j_q, j_u)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_reduced_gradient(self, mode, n_rows):
+        grid, tgrid, params, controls, q, p, _ = self.setup_histories(n_rows)
+        weights = CostWeights()
+        dp = grid.deriv(p.data)
+        got = reduced_gradient(q, p, controls, weights, mode, params)
+        assert list(got) == list(mode.active_controls)
+        for name in mode.active_controls:
+            spec = CONTROLS[name]
+            grad = np.subtract(controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params))
+            grad *= weights.beta(spec)
+            grad += spec.gradient_kernel(grid, params.alpha, q.data, p.data, dp)
+            assert np.array_equal(got[name], grad), name
 
 
 class TestOptimize:
@@ -448,6 +548,27 @@ class TestOptimize:
         assert res.final.J == pytest.approx(res.iterates[-1].J)
         assert len(res.iterates) == 11
         assert all(np.isfinite(r.grad_norm) for r in res.iterates)
+
+    def test_stalled_run_returns_the_solves_at_its_controls(self):
+        # a stall solves the state and adjoint again at the returned controls,
+        # here a rotating start the descent cannot leave
+        grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
+        start = ControlSet(u1=Trajectory(grid, tgrid, 0.4 + 0.2 * np.cos(grid.theta)[None, :] * tgrid.times[:, None]))
+        prob = OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
+            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            optimizer=OptimizerConfig(
+                max_iters=10, initial_step=1e12, max_backtracks=1, armijo_c=0.999
+            ),
+            q0=q0, target=z, initial=start,
+        )
+        res = optimize(prob)
+        assert res.status == "stalled"
+        assert np.array_equal(res.controls.u1.data, start.u1.data)
+        q = solve_state(q0, res.controls, params, tgrid)
+        p = solve_adjoint(q, z, res.controls, params, (prob.weights.alpha_r, prob.weights.alpha_t))
+        assert np.array_equal(res.state.data, q.data)
+        assert np.array_equal(res.adjoint.data, p.data)
 
     def test_stalled_status_preserves_best(self):
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
@@ -529,14 +650,15 @@ class TestOptimize:
         rolled = np.roll(base.controls.u1.data, shift, axis=1)
         assert np.max(np.abs(rot.controls.u1.data - rolled)) <= 1e-6
 
-    @pytest.mark.parametrize("opt", [
-        OptimizerConfig(max_iters=6),
-        OptimizerConfig(max_iters=4, method="ncg"),
-        OptimizerConfig(max_iters=10, initial_step=1e12, max_backtracks=1, armijo_c=0.999),
+    @pytest.mark.parametrize("opt, resolves", [
+        (OptimizerConfig(max_iters=6), 0),
+        (OptimizerConfig(max_iters=4, method="ncg"), 0),
+        (OptimizerConfig(max_iters=10, initial_step=1e12, max_backtracks=1, armijo_c=0.999), 1),
     ], ids=["gd", "ncg", "stalled"])
-    def test_solve_counts(self, opt, monkeypatch):
+    def test_solve_counts(self, opt, resolves, monkeypatch):
         # state solves: the start and every line-search trial; adjoint solves:
-        # the start and every accepted step; both as counted at the solvers
+        # the start and every accepted step; both as counted at the solvers.
+        # A stalled run solves both once more, at the controls it returns.
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         calls = {"state": 0, "adjoint": 0}
 
@@ -553,6 +675,10 @@ class TestOptimize:
             shape=ControlShape.SPACE_TIME, weights=CostWeights(), optimizer=opt, q0=q0, target=z,
         ))
         accepted = len(res.iterates) - 1
-        assert res.state_solves == 1 + res.line_search_trials == calls["state"]
-        assert res.adjoint_solves == 1 + accepted == calls["adjoint"]
+        assert (res.status == "stalled") == bool(resolves)
+        assert res.state_solves == 1 + resolves + res.line_search_trials == calls["state"]
+        assert res.adjoint_solves == 1 + resolves + accepted == calls["adjoint"]
         assert res.line_search_trials >= accepted
+        if resolves:
+            # two line searches of two trials each stall at the start
+            assert (res.state_solves, res.adjoint_solves, res.line_search_trials) == (6, 2, 4)
