@@ -22,7 +22,10 @@ stay scalars. The state's coupling velocity lives in Fourier modes +-1, so
 each stage reads it off mode 1 of the coefficients the stepper already holds,
 and every FFT writes into a buffer made once per solve or into the stored row
 it fills. The state solver also takes a stack of control histories and
-integrates them together.
+integrates them together. Given the stack one row at a time instead, it
+keeps no history: each new state row goes to a consumer and is overwritten
+by the next, which is how gradient_check scores all of its finite-difference
+probes in one solve.
 """
 
 from __future__ import annotations
@@ -319,21 +322,25 @@ def warn_if_negative(data: FloatArray, what: str) -> None:
         )
 
 
-def required_dt(grid: CircleGrid, u1: FloatArray | float, u2: FloatArray | float) -> FloatArray:
+def _peak(u: FloatArray | float, axis: int | tuple[int, ...] = (-2, -1)) -> FloatArray | float:
+    """max|u| over `axis` (each history of a stack, by default), or |u| of a
+    scalar; no |u| history is made, and negation is exact, so the value is
+    the same."""
+    return np.maximum(u.max(axis=axis), -u.min(axis=axis)) if np.ndim(u) else abs(u)
+
+
+def required_dt(
+    grid: CircleGrid, peaks: dict[str, FloatArray | float], params: CouplingParams
+) -> FloatArray | float:
     """Largest stable advective step: safety * dtheta / (max|u1| + max|u2|).
 
-    u1 and u2 are (n_t+1, n_theta) histories, stacks of them, or scalar
-    baselines; the maxima run over each history, so a stack gets one step per
-    history. The coupling velocity satisfies |w[q]| <= 1 for a normalized
-    density, so max|u2| bounds the nonlocal transport speed.
+    `peaks` maps the given advecting controls to their max|u| (see _peak),
+    one per history of a stack or a scalar; an absent control moves at its
+    baseline's speed. The coupling velocity satisfies |w[q]| <= 1 for a
+    normalized density, so max|u2| bounds the nonlocal transport speed.
     """
-
-    def peak(u: FloatArray | float) -> FloatArray | float:
-        # max|u| without an |u| history: negation is exact, so the value is the same
-        return np.maximum(u.max(axis=(-2, -1)), -u.min(axis=(-2, -1))) if np.ndim(u) else abs(u)
-
-    speed = peak(u1) + peak(u2) + 1e-12
-    return CFL_SAFETY * grid.d_theta / speed
+    speed = sum(peaks.get(n, abs(spec.baseline(params))) for n, spec in CONTROLS.items() if spec.advects)
+    return CFL_SAFETY * grid.d_theta / (speed + 1e-12)
 
 
 def first_non_finite(data: FloatArray, rows: range) -> int | None:
@@ -361,7 +368,8 @@ def _lawson_heun(
     rows: range,
     name: str,
     lift: ComplexArray | None = None,
-) -> FloatArray:
+    consume: Callable[[int, FloatArray], bool] | None = None,
+) -> FloatArray | None:
     """Heun on a rate composed with the exact heat propagator P, carried in rfft space.
 
     Starts from y0 (one sample row, or a stack of rows) at rows[0] and steps
@@ -387,24 +395,36 @@ def _lawson_heun(
     fills, and a solve one more: the transform of y0, which row rows[0]
     stores exactly. Returns the rows along the second-to-last axis.
 
+    With `consume`, no row is stored and the solve returns None: every row,
+    rows[0] first, goes to consume(k, y) in a buffer that the next step
+    overwrites, and consume returns whether the row is finite (its answer
+    for rows[0] is not read).
+
     Finiteness is checked once, after the last step: the first non-finite
     row in integration order names the step at which the solve went bad.
     """
     n = y0.shape[-1]
-    data = np.empty(y0.shape[:-1] + (len(rows), n))
-    data[..., rows[0], :] = y = y0
+    data = bad = None
+    if consume is None:
+        data = np.empty(y0.shape[:-1] + (len(rows), n))
+        data[..., rows[0], :] = y0
+    else:
+        out = np.empty(y0.shape)
+        consume(rows[0], y0)
+    y = y0
     y_hat = rfft(y0)
     x = np.empty(y0.shape)
     if lift is not None:
         pair_hat = np.empty((2,) + y_hat.shape, dtype=y_hat.dtype)
         pair = np.empty((2,) + y0.shape)
     for a, b in zip(rows[:-1], rows[1:]):
+        row = out if data is None else data[..., b, :]
         p_y = prop * y_hat
         pred = p_y + rate(a, y if lift is None else irfft(lift * y_hat, n, x), y_hat, 0)[0]
         if lift is None:
             half = 0.5 * (p_y + pred)
             y_hat = half + rate(b, irfft(pred, n, x), pred, 1)[0]
-            y = irfft(y_hat, n, data[..., b, :])
+            y = irfft(y_hat, n, row)
         else:
             np.multiply(lift, pred, out=pair_hat[0])
             half = np.add(p_y, pred, out=pair_hat[1])
@@ -412,8 +432,11 @@ def _lawson_heun(
             x2, h = irfft(pair_hat, n, pair)
             inc_hat, inc = rate(b, x2, pred, 1)
             y_hat = half + inc_hat
-            np.add(h, inc, out=data[..., b, :])
-    bad = first_non_finite(data, rows[1:])
+            np.add(h, inc, out=row)
+        if consume is not None and not consume(b, row) and bad is None:
+            bad = b
+    if data is not None:
+        bad = first_non_finite(data, rows[1:])
     if bad is not None:
         raise NumericsError(f"{name} became non-finite at step {bad} (t={bad * dt:.6g})")
     return data
@@ -424,7 +447,9 @@ def _solve_states(
     controls: dict[str, FloatArray],
     params: CouplingParams,
     tgrid: TimeGrid,
-) -> FloatArray:
+    fill: Callable[[int], None] | None = None,
+    consume: Callable[[int, FloatArray], bool] | None = None,
+) -> FloatArray | None:
     """States from q0 under a stack of control histories.
 
     `controls` maps control names to (B, n_t+1, n_theta) stacks or to one
@@ -433,6 +458,13 @@ def _solve_states(
     (B, n_t+1, n_theta) states, or one (n_t+1, n_theta) state when no control
     is stacked. Each history of the stack gets every check of solve_state but
     the negativity warning, which solve_state issues for its caller.
+
+    With `fill`, the stack is made one row at a time and no state is kept:
+    `controls` maps names to one (B, n_theta) buffer each, into which fill(k)
+    writes row k of every history; every row is made before the first step,
+    for each history's max|u| in the CFL limit, and again as the solve steps.
+    Each state row goes to consume(k, q) while the buffers hold row k (see
+    _lawson_heun), and the call returns None.
     """
     grid = q0.grid
     mass0 = grid.quad(q0.values)
@@ -441,27 +473,64 @@ def _solve_states(
     if float(q0.values.min()) < -1e-12:
         raise ValueError("q0 must be nonnegative")
 
-    u1, src = controls.get("u1"), controls.get("source")  # absent: their baseline 0, no term
-    u2 = controls.get("u2", CONTROLS["u2"].baseline(params))
+    n_rows = tgrid.n_t + 1
+    advecting = {n: u for n, u in controls.items() if CONTROLS[n].advects}
+    if fill is None:
+        peaks = {n: _peak(u) for n, u in advecting.items()}
+    else:
+        held = None
+
+        def at(k: int) -> None:
+            nonlocal held
+            if k != held:
+                fill(k)
+                held = k
+
+        peaks = dict.fromkeys(advecting, 0.0)
+        for k in range(n_rows):
+            at(k)
+            for n, row in advecting.items():
+                peaks[n] = np.maximum(peaks[n], _peak(row, -1))
+        # every row of these views is the buffer, which holds the row last filled
+        controls = {n: np.broadcast_to(row[..., None, :], row.shape[:-1] + (n_rows, row.shape[-1]))
+                    for n, row in controls.items()}
     dt = tgrid.dt
-    dt_max = float(np.min(required_dt(grid, 0.0 if u1 is None else u1, u2)))
+    dt_max = float(np.min(required_dt(grid, peaks, params)))
     if dt > dt_max:
         raise CFLError(
             f"dt={dt:.6g} violates the advective CFL limit; need dt <= {dt_max:.6g} "
             f"(n_t >= {int(np.ceil(tgrid.T / dt_max))})"
         )
 
+    u1, src = controls.get("u1"), controls.get("source")  # absent: their baseline 0, no term
+    u2 = controls.get("u2", CONTROLS["u2"].baseline(params))
     prop = grid.heat_multiplier(params.D, dt)
     slope = -grid._ik_first  # the rate is -d/dtheta of the flux
     gains = ((dt * prop * slope, dt * prop), (0.5 * dt * slope, 0.5 * dt))
     batch = np.broadcast_shapes(*(c.shape[:-2] for c in controls.values()))
     y0 = np.broadcast_to(q0.values, batch + (grid.n_theta,))
     rate = _state_rate(grid, params.alpha, u1, u2, src, gains, y0.shape)
-    data = _lawson_heun(prop, dt, y0, rate, range(tgrid.n_t + 1), "state")
-    if src is None:
-        drift = float(np.max(np.abs(grid.quad_rows(data) - mass0)))
-        if drift > 1e-8:
-            raise NumericsError(f"mass drifted by {drift:.3e} despite flux form")
+    if fill is None:
+        data = _lawson_heun(prop, dt, y0, rate, range(n_rows), "state")
+        drift = np.max(np.abs(grid.quad_rows(data) - mass0)) if src is None else 0.0
+    else:
+        drift = 0.0
+        row_rate = rate
+
+        def rate(k: int, q: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, None]:
+            at(k)
+            return row_rate(k, q, c, stage)
+
+        def take(k: int, q: FloatArray) -> bool:
+            nonlocal drift
+            at(k)
+            if src is None:
+                drift = np.maximum(drift, np.max(np.abs(grid.quad_rows(q) - mass0)))
+            return consume(k, q)
+
+        data = _lawson_heun(prop, dt, y0, rate, range(n_rows), "state", consume=take)
+    if src is None and float(drift) > 1e-8:
+        raise NumericsError(f"mass drifted by {float(drift):.3e} despite flux form")
     return data
 
 

@@ -287,19 +287,64 @@ def _evaluate(
     return cs, q, cost(q, problem.target, cs, problem.weights, problem.mode, problem.params)
 
 
-def _probe_costs(problem: OcpProblem, u: dict[str, FloatArray]) -> FloatArray:
-    """Cost J at each control history of the stacks u (name -> (B, n_t+1,
-    n_theta)), from one batched state solve, which issues no ResolutionWarning
-    (probes may dip negative, as in _evaluate). Read-only stacks are adopted
-    by the probes' trajectories without a copy."""
-    grid, tgrid = problem.grid, problem.tgrid
-    states = read_only(_solve_states(problem.q0, u, problem.params, tgrid))
-    costs = []
-    for i, q in enumerate(states):
-        cs = _control_set({n: arr[i] for n, arr in u.items()}, grid, tgrid)
-        q_traj = Trajectory(grid, tgrid, q)
-        costs.append(cost(q_traj, problem.target, cs, problem.weights, problem.mode, problem.params)[0])
-    return np.array(costs)
+def _probe_costs(
+    problem: OcpProblem, u0: dict[str, FloatArray], deltas: dict[str, FloatArray], steps: FloatArray
+) -> FloatArray:
+    """Cost J at every probe u0 + s*delta, for each direction of the stacks
+    `deltas` (name -> (D, n_t+1, n_theta)) and each s of `steps`, as a
+    (D, S) array, from one state solve that issues no ResolutionWarning
+    (probes may dip negative, as in _evaluate).
+
+    No probe history is made: row k of every probe's controls is made into
+    one (D, S, n_theta) buffer per control, and each state row is reduced to
+    the probes' row sums as the solve makes it. These are the row sums that
+    cost() takes, and _cost_terms turns them into J, so each J is bit-equal
+    to cost()'s.
+    """
+    grid, tgrid, weights, params = problem.grid, problem.tgrid, problem.weights, problem.params
+    n_dirs = len(next(iter(deltas.values())))
+    shape = (n_dirs, len(steps), grid.n_theta)
+    scaled = steps[:, None]
+    rows = {n: np.empty(shape) for n in u0}
+
+    def fill(k: int) -> None:
+        for n, row in rows.items():
+            np.multiply(scaled, deltas[n][:, None, k, :], out=row)
+            row += u0[n][k]
+
+    sums = np.empty((1 + len(rows), n_dirs, len(steps), tgrid.n_t + 1))  # mismatch, then each control
+    offsets = [weights.penalty_offset(CONTROLS[n], params) for n in rows]
+    z = problem.target.data
+    scratch = np.empty(shape)
+
+    def consume(k: int, q: FloatArray) -> bool:
+        for i, (a, b) in enumerate([(q, z[k]), *zip(rows.values(), offsets)]):
+            np.subtract(a, b, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            sums[i, ..., k] = scratch.sum(axis=-1)
+        return bool(np.isfinite(sums[0, ..., k]).all() or np.isfinite(q).all())
+
+    _solve_states(problem.q0, rows, params, tgrid, fill=fill, consume=consume)
+    costs = np.empty(shape[:2])
+    for d, s in np.ndindex(costs.shape):
+        mismatch, *deviations = sums[:, d, s]
+        costs[d, s] = _cost_terms(grid, tgrid, weights, mismatch, dict(zip(rows, deviations)))[0]
+    return costs
+
+
+def _cost_terms(
+    grid: CircleGrid, tgrid: TimeGrid, weights: CostWeights,
+    mismatch: FloatArray, deviations: dict[str, FloatArray],
+) -> tuple[float, float, float]:
+    """(J, J_q, J_u) from the row sums of the squared tracking mismatch
+    (q - z)**2 and of each active control's squared deviation from
+    CostWeights.penalty_offset."""
+    j_q = 0.5 * weights.alpha_r * _quadrature(grid, tgrid, mismatch)
+    j_q += 0.5 * weights.alpha_t * float(mismatch[-1]) * grid.d_theta
+    j_u = 0.0
+    for name, deviation in deviations.items():
+        j_u += 0.5 * weights.beta(CONTROLS[name]) * _quadrature(grid, tgrid, deviation)
+    return j_q + j_u, j_q, j_u
 
 
 def cost(
@@ -318,18 +363,13 @@ def cost(
     grid, tgrid = q_traj.grid, q_traj.tgrid
     if z_traj.data.shape != q_traj.data.shape:
         raise ValueError("state and target trajectories have mismatched shapes")
-    mismatch = _difference_sums(q_traj.data, z_traj.data)
-    j_q = 0.5 * weights.alpha_r * _quadrature(grid, tgrid, mismatch)
-    j_q += 0.5 * weights.alpha_t * float(mismatch[-1]) * grid.d_theta
-
-    j_u = 0.0
-    for name in mode.active_controls:
-        spec = CONTROLS[name]
-        deviation = _difference_sums(
-            controls.array(name, grid, tgrid, params), weights.penalty_offset(spec, params)
+    deviations = {
+        name: _difference_sums(
+            controls.array(name, grid, tgrid, params), weights.penalty_offset(CONTROLS[name], params)
         )
-        j_u += 0.5 * weights.beta(spec) * _quadrature(grid, tgrid, deviation)
-    return j_q + j_u, j_q, j_u
+        for name in mode.active_controls
+    }
+    return _cost_terms(grid, tgrid, weights, _difference_sums(q_traj.data, z_traj.data), deviations)
 
 
 def reduced_gradient(
@@ -376,8 +416,12 @@ def _polak_ribiere(
     Negation is exact, so -d holds the same values as d but for sign."""
     g_prev, e_prev = prev
     denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
-    beta = max(0.0, sum(space_time_inner(grid, tgrid, g[n], g[n] - g_prev[n]) for n in g) / denom)
-    e_try = {n: g[n] + beta * e_prev[n] for n in g}
+    numer = sum(_quadrature(grid, tgrid, _difference_sums(g[n], g_prev[n], g[n])) for n in g)
+    beta = max(0.0, numer / denom)
+    e_try = {}
+    for n in g:
+        e_try[n] = np.multiply(beta, e_prev[n])
+        e_try[n] += g[n]
     return e_try if sum(space_time_inner(grid, tgrid, e_try[n], g[n]) for n in g) > 0.0 else g
 
 
@@ -579,13 +623,16 @@ def gradient_check(
 
     For each random band-limited direction, the adjoint value <grad J, delta>
     is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) over a
-    sweep of decreasing eps. The probes u +- eps*delta of one direction, both
-    signs, are solved as one batch. A direction passes when the relative error
-    at the smallest eps is at most GRADCHECK_TOL: there the truncation error is
-    negligible, so what remains is the O(dt) mismatch between the adjoint
-    gradient and the derivative of the discrete cost, which a wrong gradient
-    raises. Directions nearly orthogonal to the gradient are redrawn so
-    the relative error keeps a meaningful denominator. `bias` shifts the
+    sweep of decreasing eps. Every direction is drawn first; then all the
+    probes u +- eps*delta, every direction and both signs, are solved and
+    scored in one batch that keeps no probe history (see _probe_costs). A
+    CFL violation in any probe stops the check before any probe is solved.
+    A direction passes when the relative error at the smallest eps is at
+    most GRADCHECK_TOL: there the truncation error is negligible, so what
+    remains is the O(dt) mismatch between the adjoint gradient and the
+    derivative of the discrete cost, which a wrong gradient raises.
+    Directions nearly orthogonal to the gradient are redrawn so the relative
+    error keeps a meaningful denominator. `bias` shifts the
     adjoint gradient uniformly and exists as a fault-injection hook for
     negative-control tests. n_directions must be at least 1: a check over no
     direction would pass without testing anything.
@@ -604,6 +651,7 @@ def gradient_check(
     cs0, q0_traj, (j0, _, _) = _evaluate(problem, u0)
     p_traj = solve_adjoint(q0_traj, problem.target, cs0, params, (weights.alpha_r, weights.alpha_t))
     g = reduced_gradient(q0_traj, p_traj, cs0, weights, mode, params, problem.shape)
+    del cs0, q0_traj, p_traj  # the probes need only u0 and the directions
     if bias != 0.0:
         g = {n: arr + bias for n, arr in g.items()}
 
@@ -625,13 +673,14 @@ def gradient_check(
 
     zero_floor = 1e-9 * (1.0 + abs(j0))
 
+    drawn = [draw_direction() for _ in range(n_directions)]
+    deltas = {n: np.stack([delta[n] for delta, _ in drawn]) for n in u0}
+    adjoint_values = [g_adj for _, g_adj in drawn]
+    del drawn, g  # the probe solve holds the directions once, and no gradient
+    costs = _probe_costs(problem, u0, deltas, np.concatenate((eps_sweep, -eps_sweep)))
+
     checks = []
-    for _ in range(n_directions):
-        delta, g_adj = draw_direction()
-        steps = np.concatenate((eps_sweep, -eps_sweep))[:, None, None]
-        j_plus, j_minus = np.split(
-            _probe_costs(problem, {n: read_only(u0[n] + steps * delta[n]) for n in u0}), 2
-        )
+    for g_adj, j_plus, j_minus in zip(adjoint_values, *np.split(costs, 2, axis=1)):
         fd_arr = (j_plus - j_minus) / (2.0 * eps_sweep)
         if max(abs(g_adj), float(np.max(np.abs(fd_arr)))) <= zero_floor:
             # stationary direction: adjoint and FD agree on a zero derivative

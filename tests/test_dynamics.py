@@ -415,6 +415,33 @@ class TestBatchedStepper:
             single = _solve_states(q0, {n: arr[i] for n, arr in controls.items()}, params, tg)
             assert np.array_equal(batch[i], single)
 
+    @pytest.mark.parametrize("names", [("u1", "u2", "source"), ("u2",)])
+    def test_streamed_rows_bit_equal_to_the_stored_stack(self, rng, names):
+        # with `fill`, no state is stored: each row goes to `consume` while
+        # the control buffers hold that row of every history
+        grid, tg = CircleGrid(32), TimeGrid(1.0, 100)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
+        q0 = gaussian_q0(grid)
+        stacks = {n: arr.reshape(2, 2, *arr.shape[1:]) for n, arr in self.stacked_controls(grid, tg, rng, 4).items()
+                  if n in names}
+        stored = _solve_states(q0, stacks, params, tg)
+        rows = {n: np.empty((2, 2, grid.n_theta)) for n in stacks}
+
+        def fill(k):
+            for n, row in rows.items():
+                row[...] = stacks[n][..., k, :]
+
+        seen = []
+
+        def consume(k, q):
+            assert all(np.array_equal(row, stacks[n][..., k, :]) for n, row in rows.items())
+            assert np.array_equal(q, stored[..., k, :])
+            seen.append(k)
+            return True
+
+        assert _solve_states(q0, rows, params, tg, fill=fill, consume=consume) is None
+        assert seen == list(range(tg.n_t + 1))
+
     def test_one_cfl_violating_probe_rejects_the_batch(self, coarse_grid, rng):
         grid, tg = coarse_grid, TimeGrid(1.0, 200)
         controls = self.stacked_controls(grid, tg, rng, 3)
@@ -491,6 +518,20 @@ class TestBatchedStepper:
         assert counts() == (4 * tg.n_t + 1, 0)
         solve_adjoint(q, z, controls, params, (1.0, 10.0))
         assert counts() == (4 * tg.n_t + 1, 0)
+        # a streamed solve of D directions x 2 steps, as gradient_check makes
+        # it, transforms all of its probes together, whatever D is
+        given = {n: controls.array(n, grid, tg, params) for n in ("u1", "source") if controls.get(n) is not None}
+        for n_dirs in (1, 3):
+            rows = {n: np.empty((n_dirs, 2, grid.n_theta)) for n in given}
+
+            def fill(k):
+                for n, row in rows.items():
+                    row[...] = given[n][k]
+
+            rows_seen = []
+            _solve_states(gaussian_q0(grid), rows, params, tg, fill=fill, consume=lambda k, y: rows_seen.append(k) or True)
+            assert counts() == (4 * tg.n_t + 1, 0)
+            assert rows_seen == list(range(tg.n_t + 1))
 
 
 class TestScalarBaselines:

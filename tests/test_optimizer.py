@@ -25,13 +25,15 @@ from kurasteer import (
 )
 from kurasteer.checks import check_gradients, coarse_problem
 from kurasteer.config import RunConfig, load_config
-from kurasteer import optimizer
-from kurasteer.dynamics import CONTROLS, ROW_BLOCK
+from kurasteer import dynamics, optimizer
+from kurasteer.dynamics import CONTROLS, ROW_BLOCK, CFLError, NumericsError, _solve_states
 from kurasteer.optimizer import (
     GRADCHECK_TOL,
     _advective_caps,
     _baseline_arrays,
     _evaluate,
+    _probe_costs,
+    _smooth_direction,
     shape_project,
     space_time_inner,
 )
@@ -330,16 +332,20 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
     def test_batched_differences_match_probe_by_probe(self, mode, monkeypatch):
-        # each direction is one batched solve of the probes u0 + eps*delta, then
-        # u0 - eps*delta; its differences agree with solving the probes one at a time
+        # every probe u0 + s*delta of the check, s = +eps then -eps, is solved
+        # in one streamed batch; its differences agree with solving the probes
+        # one at a time
         problem = self.make_problem(mode)
         batches, batched_costs = [], optimizer._probe_costs
 
-        def spy(prob, u):
-            costs = batched_costs(prob, u)
-            halves = [{n: arr[:len(costs) // 2] for n, arr in u.items()},
-                      {n: arr[len(costs) // 2:] for n, arr in u.items()}]
-            batches.extend(zip(halves, np.split(costs, 2)))
+        def spy(prob, u0, deltas, steps):
+            costs = batched_costs(prob, u0, deltas, steps)
+            half = len(steps) // 2
+            probes = {n: u0[n] + steps[:, None, None] * arr[0] for n, arr in deltas.items()}
+            batches.extend([
+                ({n: arr[:half] for n, arr in probes.items()}, costs[0, :half]),
+                ({n: arr[half:] for n, arr in probes.items()}, costs[0, half:]),
+            ])
             return costs
 
         monkeypatch.setattr(optimizer, "_probe_costs", spy)
@@ -378,6 +384,136 @@ class TestGradientCheck:
         results = check_gradients(runcfg)
         assert all(r["passed"] for r in results)
         assert all(max(r["floor_rel_errors"]) <= 1e-4 for r in results)
+
+
+def per_direction_probe_costs(problem, u0, deltas, steps):
+    """The probe path that the streamed solve replaced, written out: each
+    direction's probes solved as one stored stack by _solve_states, and each
+    probe scored by the whole-history cost arithmetic."""
+    grid, tgrid, weights, params = problem.grid, problem.tgrid, problem.weights, problem.params
+    w, dth = tgrid.trapezoid_weights, grid.d_theta
+    costs = []
+    for d in range(len(next(iter(deltas.values())))):
+        u = {n: u0[n] + steps[:, None, None] * arr[d] for n, arr in deltas.items()}
+        for i, q in enumerate(_solve_states(problem.q0, u, params, tgrid)):
+            scratch = np.subtract(q, problem.target.data)
+            np.multiply(scratch, scratch, out=scratch)
+            j_q = 0.5 * weights.alpha_r * (float(w @ scratch.sum(axis=1)) * dth)
+            j_q += 0.5 * weights.alpha_t * float(scratch[-1].sum()) * dth
+            j_u = 0.0
+            for name, arr in u.items():
+                spec = CONTROLS[name]
+                np.subtract(arr[i], weights.penalty_offset(spec, params), out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                j_u += 0.5 * weights.beta(spec) * (float(w @ scratch.sum(axis=1)) * dth)
+            costs.append(j_q + j_u)
+    return np.array(costs).reshape(-1, len(steps))
+
+
+class TestStreamedProbes:
+    """gradient_check solves every probe u0 + s*delta of a mode in one state
+    solve that keeps no history: each probe's cost, and each check of the
+    solve, must be what the probe gets when it is solved and scored alone."""
+
+    STEPS = np.array([0.1, 1e-3, -0.1, -1e-3])
+
+    @staticmethod
+    def setup_probes(mode, alpha=0.0, shape=ControlShape.SPACE_TIME, n_dirs=2, seed=0):
+        grid, tgrid, _, q0, z = small_setup(n_theta=32, n_t=100, T=0.5)
+        restricted = shape is not ControlShape.SPACE_TIME
+        problem = OcpProblem(
+            grid=grid, tgrid=tgrid, params=CouplingParams(alpha=alpha, D=0.25, K=1.0), mode=mode,
+            shape=shape, weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0, target=z,
+            initial=ControlSet(u1=Trajectory.constant(grid, tgrid, 0.4)) if restricted else ControlSet(),
+        )
+        rng = np.random.default_rng(seed)
+        u0 = _baseline_arrays(problem)
+        deltas = {
+            n: np.stack([shape_project(_smooth_direction(rng, grid, tgrid), shape, tgrid) for _ in range(n_dirs)])
+            for n in u0
+        }
+        return problem, u0, deltas
+
+    @staticmethod
+    def stored_stack(u0, deltas, steps):
+        """Every probe as one stored (D*S, n_t+1, n_theta) stack per control."""
+        return {n: np.concatenate([u0[n] + steps[:, None, None] * d for d in arr]) for n, arr in deltas.items()}
+
+    def assert_costs_are_single_solves(self, problem, u0, deltas):
+        costs = _probe_costs(problem, u0, deltas, self.STEPS)
+        assert costs.shape == (2, len(self.STEPS))
+        for (d, i), j in np.ndenumerate(costs):
+            probe = {n: u0[n] + self.STEPS[i] * arr[d] for n, arr in deltas.items()}
+            assert j == _evaluate(problem, probe)[2][0], (d, i)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_each_cost_bit_equal_to_its_own_solve(self, mode, alpha):
+        self.assert_costs_are_single_solves(*self.setup_probes(mode, alpha))
+
+    @pytest.mark.parametrize("shape", [ControlShape.SPACE_ONLY, ControlShape.TIME_ONLY, ControlShape.CONSTANT])
+    def test_restricted_shape_cost_bit_equal_to_its_own_solve(self, shape):
+        self.assert_costs_are_single_solves(*self.setup_probes(ControlMode.VELOCITY, 0.5, shape))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_reports_equal_the_per_direction_path(self, mode, alpha, monkeypatch):
+        runcfg = RunConfig.from_dict(load_config(None, [f"physics.alpha={alpha}"]))
+        problem, n_dirs = coarse_problem(runcfg, mode), int(runcfg.raw["check"]["directions"])
+        streamed = gradient_check(problem, n_directions=n_dirs, seed=1)
+        monkeypatch.setattr(optimizer, "_probe_costs", per_direction_probe_costs)
+        assert gradient_check(problem, n_directions=n_dirs, seed=1) == streamed
+
+    def test_cfl_violation_raises_before_any_probe_is_solved(self, monkeypatch):
+        problem, _, _ = self.setup_probes(ControlMode.VELOCITY)
+        grid, tgrid = problem.grid, problem.tgrid
+        # u1 = 15*t/T, and 15*t/T -+ 10*t/T along direction 1: exact peaks 15, 5 and
+        # 25 against a limit of 18.6 (0.5*dtheta/dt - K); a bound
+        # max|u0| + |s|*max|delta| would read 25 for every probe of direction 1
+        ramp = np.broadcast_to(tgrid.times[:, None] / tgrid.T, (tgrid.n_t + 1, grid.n_theta))
+        u0, deltas = {"u1": 15.0 * ramp}, {"u1": np.stack([0.0 * ramp, -10.0 * ramp])}
+        stepped = []
+        stepper = dynamics._lawson_heun
+        monkeypatch.setattr(dynamics, "_lawson_heun", lambda *a, **kw: stepped.append(1) or stepper(*a, **kw))
+        assert _probe_costs(problem, u0, deltas, np.array([1.0])).shape == (2, 1)
+        assert len(stepped) == 1
+        stepped.clear()
+        steps = np.array([1.0, -1.0])
+        with pytest.raises(CFLError, match="need dt <=") as streamed:
+            _probe_costs(problem, u0, deltas, steps)
+        assert not stepped
+        with pytest.raises(CFLError) as stored:
+            _solve_states(problem.q0, self.stored_stack(u0, deltas, steps), problem.params, tgrid)
+        assert str(streamed.value) == str(stored.value)
+        dt_max = 0.5 * grid.d_theta / (25.0 + 1.0 + 1e-12)
+        assert f"need dt <= {dt_max:.6g} (n_t >= {int(np.ceil(tgrid.T / dt_max))})" in str(streamed.value)
+
+    def test_non_finite_probe_names_the_first_bad_step(self):
+        problem, u0, deltas = self.setup_probes(ControlMode.LINEAR_SOURCE)
+        deltas["source"][0, 9, 3] = np.inf  # first used by the stage-2 rate of step 9
+        deltas["source"][1, 5, 7] = np.nan  # and of step 5
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericsError, match=r"state became non-finite at step 5 \(t=0.025\)") as streamed:
+                _probe_costs(problem, u0, deltas, self.STEPS)
+            with pytest.raises(NumericsError) as stored:
+                _solve_states(problem.q0, self.stored_stack(u0, deltas, self.STEPS), problem.params, problem.tgrid)
+        assert str(streamed.value) == str(stored.value)
+
+    def test_mass_drift_caught(self, monkeypatch):
+        problem, u0, deltas = self.setup_probes(ControlMode.VELOCITY)
+        heat = CircleGrid.heat_multiplier
+
+        def leaky(grid, diffusion, dt):
+            prop = heat(grid, diffusion, dt)
+            prop[0] = 1.0 - 1e-6  # mode 0 loses mass every step
+            return prop
+
+        monkeypatch.setattr(CircleGrid, "heat_multiplier", leaky)
+        with pytest.raises(NumericsError, match="mass drifted by") as streamed:
+            _probe_costs(problem, u0, deltas, self.STEPS)
+        with pytest.raises(NumericsError) as stored:
+            _solve_states(problem.q0, self.stored_stack(u0, deltas, self.STEPS), problem.params, problem.tgrid)
+        assert str(streamed.value) == str(stored.value)
 
 
 class TestMemory:
@@ -425,6 +561,40 @@ class TestMemory:
             warnings.simplefilter("ignore", ResolutionWarning)
             peak = traced_peak(lambda: optimize(build()))
         assert peak <= bound * history
+
+    @pytest.mark.parametrize("mode, extra, seed, bound", [
+        ("velocity", [], None, 8.1),
+        ("interaction", ["initial_controls.perturbation_scale=0.3"], 1, 7.7),
+    ], ids=["velocity", "interaction"])
+    def test_ncg_descent_peak_histories(self, mode, extra, seed, bound, traced_peak):
+        # measured 7.70 (velocity) and 7.35 (interaction), while the gradient
+        # is made: NCG holds the last gradient and direction beside the
+        # control, its state, adjoint and new gradient; _polak_ribiere itself
+        # adds one history per control (its direction) and row blocks
+        overrides = ["discretization.n_theta=64", "discretization.n_t=800", "discretization.T=4",
+                     "optimizer.max_iters=4", f"mode={mode}", "optimizer.method=ncg", *extra]
+
+        def build():
+            return RunConfig.from_dict(load_config(None, overrides, None, seed)).problem()
+
+        build()
+        history = 801 * 64 * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            peak = traced_peak(lambda: optimize(build()))
+        assert peak <= bound * history
+
+    @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
+    def test_gradient_check_keeps_no_probe_history(self, mode, traced_peak):
+        # the check problem, 10 directions x 18 probes: measured 29.2
+        # (velocity) and 31.2 (linear_source) histories, of which the
+        # directions are 10 and the probes' row sums 5.6 (velocity); 41.8
+        # when each direction's 18 probe controls and states were stored
+        runcfg = RunConfig.from_dict(load_config(None, ["check.n_theta=64", "check.n_t=200", "check.T=1.0"]))
+        problem = coarse_problem(runcfg, mode)
+        gradient_check(problem, n_directions=10, seed=0)
+        peak = traced_peak(lambda: gradient_check(problem, n_directions=10, seed=0))
+        assert peak <= 33 * 201 * 64 * 8
 
 
 class TestRowBlocks:
@@ -488,6 +658,22 @@ class TestRowBlocks:
             grad *= weights.beta(spec)
             grad += spec.gradient_kernel(grid, params.alpha, q.data, p.data, dp)
             assert np.array_equal(got[name], grad), name
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_polak_ribiere(self, n_rows):
+        grid, tgrid = CircleGrid(16), TimeGrid(1.0, n_rows - 1)
+        rng = np.random.default_rng(n_rows)
+        g, g_prev, e_prev = ({n: rng.standard_normal((n_rows, 16)) for n in ("u1", "u2")} for _ in range(3))
+        for flip in (1.0, -1.0):  # a descent direction, then one that is not: restart at g
+            e_prev = {n: flip * arr for n, arr in e_prev.items()}
+            denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
+            beta = max(0.0, sum(space_time_inner(grid, tgrid, g[n], g[n] - g_prev[n]) for n in g) / denom)
+            e_try = {n: g[n] + beta * e_prev[n] for n in g}
+            descent = sum(space_time_inner(grid, tgrid, e_try[n], g[n]) for n in g) > 0.0
+            got = optimizer._polak_ribiere(grid, tgrid, g, (g_prev, e_prev))
+            assert (got is g) == (not descent)
+            for n in g:
+                assert np.array_equal(got[n], e_try[n] if descent else g[n])
 
 
 class TestOptimize:
