@@ -10,11 +10,10 @@ import numpy as np
 
 from .config import RunConfig
 from .coupling import interaction_field, interaction_field_adjoint, interaction_values
-from .dynamics import ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory, solve_state
+from .dynamics import ControlMode, ControlSet, ControlShape, solve_state
 from .grid import CircleGrid, Field, ddtheta, integrate, random_bandlimited
-from .optimizer import OcpProblem, OptimizerConfig, gradient_check
+from .optimizer import OcpProblem, OptimizerConfig, difference_sums, gradient_check
 from .oracles import interaction_adjoint_quadrature, interaction_field_quadrature
-from .scenarios import DensitySpec
 
 GREEN_TOL = 1e-10
 DUALITY_TOL = 1e-12
@@ -91,12 +90,11 @@ def check_nonlocal_equivalence(
 
 def check_mass_and_bound(runcfg: RunConfig) -> dict:
     """Mass conservation and the |w[q]| <= 1 transport bound along a solve."""
-    target = runcfg.target_trajectory()
-    controls = ControlSet()
-    traj = solve_state(runcfg.q0, controls, runcfg.params, runcfg.tgrid)
+    traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
     mass_err = float(np.max(np.abs(traj.mass() - 1.0)))
     w_max = float(np.max(np.abs(interaction_values(runcfg.grid, traj.data, runcfg.params.alpha))))
-    terminal_err = float(runcfg.grid.quad((traj.data[-1] - target.data[-1]) ** 2))
+    mismatch = difference_sums(traj.data, runcfg.target_trajectory().data)  # row sums of (q - z)^2
+    terminal_err = float(mismatch[-1] * runcfg.grid.d_theta)
     return {
         "name": "mass_and_transport_bound",
         "passed": mass_err <= MASS_TOL and w_max <= 1.0 + W_BOUND_TOL,
@@ -107,36 +105,29 @@ def check_mass_and_bound(runcfg: RunConfig) -> dict:
 
 
 def coarse_problem(runcfg: RunConfig, mode: ControlMode) -> OcpProblem:
-    """Gradient-check setup: coarse grids, the run's physics and weights."""
-    chk = runcfg.raw["check"]
-    grid = CircleGrid(int(chk["n_theta"]))
-    tgrid = TimeGrid(float(chk["T"]), int(chk["n_t"]))
-    q0 = DensitySpec.from_dict(runcfg.raw["scenario"]["q0"]).build(grid)
-    target = DensitySpec.from_dict(runcfg.raw["scenario"]["target"]).build(grid)
+    """Gradient-check setup: the run's scenario, physics and weights on the
+    check section's grids, from the baseline controls."""
+    grids = {key: runcfg.check[key] for key in runcfg.raw["discretization"]}
+    coarse = RunConfig.from_dict({**runcfg.raw, "discretization": grids})
     return OcpProblem(
-        grid=grid,
-        tgrid=tgrid,
-        params=runcfg.params,
+        grid=coarse.grid,
+        tgrid=coarse.tgrid,
+        params=coarse.params,
         mode=mode,
         shape=ControlShape.SPACE_TIME,
-        weights=runcfg.weights,
+        weights=coarse.weights,
         optimizer=OptimizerConfig(),
-        q0=q0,
-        target=Trajectory.from_field(target, tgrid),
+        q0=coarse.q0,
+        target=coarse.target_trajectory(),
     )
 
 
 def check_gradients(runcfg: RunConfig) -> list[dict]:
     """Adjoint-vs-finite-difference verification for all three control modes."""
-    chk = runcfg.raw["check"]
     out = []
     for mode in (ControlMode.VELOCITY, ControlMode.INTERACTION, ControlMode.LINEAR_SOURCE):
-        report = gradient_check(
-            coarse_problem(runcfg, mode),
-            n_directions=int(chk["directions"]),
-            seed=runcfg.seed,
-            bias=float(chk["gradient_bias"]),
-        )
+        problem = coarse_problem(runcfg, mode)
+        report = gradient_check(problem, n_directions=runcfg.check["directions"], seed=runcfg.seed)
         out.append(
             {
                 "name": f"gradient_check_{mode.value}",

@@ -15,14 +15,8 @@ import numpy as np
 from .checks import run_all_checks
 from .config import RunConfig, load_config
 from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, Trajectory, solve_state, warn_if_negative
-from .optimizer import optimize, sync_series
-from .outputs import (
-    tracking_error_series,
-    write_convergence_csv,
-    write_field_file,
-    write_json,
-    write_timeseries_csv,
-)
+from .optimizer import difference_sums, optimize, sync_series
+from .outputs import write_convergence_csv, write_field_file, write_json, write_timeseries_csv
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _state_report(traj: Trajectory, target: Trajectory, alpha_r: float) -> tuple[tuple, dict]:
     """A state's (t, R, psi, mass, Jq_running) series and its final metrics."""
     t, R, psi, mass = sync_series(traj)
-    terr = tracking_error_series(traj.grid, traj, target)
+    terr = difference_sums(traj.data, target.data) * traj.grid.d_theta  # integral of (q - z)^2 per row
     metrics = {
         "final_R": float(R[-1]),
         "final_psi": float(psi[-1]),

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ DEFAULT_CONFIG: dict = {
         "target": {"kind": "wrapped_gaussian", "mean": 3 * np.pi / 2, "sigma": 0.4},
     },
     "initial_controls": {**{f"{name}_file": None for name in CONTROLS}, "perturbation_scale": 0.0},
-    "check": {"n_theta": 64, "n_t": 200, "T": 1.0, "directions": 5, "gradient_bias": 0.0},
+    "check": {"n_theta": 64, "n_t": 200, "T": 1.0, "directions": 5},
     "output_dir": "out",
     "seed": 0,
 }
@@ -80,7 +81,7 @@ def load_config(
     if out_dir is not None:
         cfg["output_dir"] = out_dir
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = seed
     return cfg
 
 
@@ -100,22 +101,29 @@ def _merge(base: dict, update: dict, prefix: str = "") -> None:
             base[key] = value
 
 
-def _settings(cls: type, section: dict, prefix: str):
-    """One settings dataclass from its config section, each value cast to the
-    type of the field's default. Booleans must be JSON booleans and integer
-    fields whole numbers."""
-    values = {}
-    for f in fields(cls):
-        key, value, kind = f"{prefix}.{f.name}", section[f.name], type(f.default)
-        if kind is bool and not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        try:
-            values[f.name] = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}") from None
-        if kind is int and (values[f.name] != value or isinstance(value, bool)):
-            raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return cls(**values)
+KIND_NAMES = {bool: "true or false", int: "a whole number", float: "a finite number", str: "a string"}
+
+
+def _cast(key: str, value: object, default: object):
+    """A config value cast to the type of its default. A flag must be a JSON
+    boolean, a count a whole number and a number finite; anything else stops
+    the run with an error that names the key."""
+    kind = type(default)
+    try:
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        cast = kind(value)
+        if kind is int and cast != value or kind is float and not math.isfinite(cast):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be {KIND_NAMES[kind]}, got {value!r}") from None
+    return cast
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """A config section with each value cast to the type of its default."""
+    defaults = DEFAULT_CONFIG[name]
+    return {key: _cast(f"{name}.{key}", cfg[name][key], default) for key, default in defaults.items()}
 
 
 @dataclass(frozen=True)
@@ -132,25 +140,27 @@ class RunConfig:
     optimizer: OptimizerConfig
     q0: Field
     target_field: Field
+    check: dict
     seed: int
     output_dir: Path
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
-        grid = CircleGrid(int(cfg["discretization"]["n_theta"]))
-        tgrid = TimeGrid(float(cfg["discretization"]["T"]), int(cfg["discretization"]["n_t"]))
+        disc = _section(cfg, "discretization")
+        grid = CircleGrid(disc["n_theta"])
         return cls(
             raw=cfg,
             grid=grid,
-            tgrid=tgrid,
-            params=_settings(CouplingParams, cfg["physics"], "physics"),
+            tgrid=TimeGrid(disc["T"], disc["n_t"]),
+            params=CouplingParams(**_section(cfg, "physics")),
             mode=ControlMode(cfg["mode"]),
             shape=ControlShape(cfg["shape"]),
-            weights=_settings(CostWeights, cfg["weights"], "weights"),
-            optimizer=_settings(OptimizerConfig, cfg["optimizer"], "optimizer"),
+            weights=CostWeights(**_section(cfg, "weights")),
+            optimizer=OptimizerConfig(**_section(cfg, "optimizer")),
             q0=DensitySpec.from_dict(cfg["scenario"]["q0"]).build(grid),
             target_field=DensitySpec.from_dict(cfg["scenario"]["target"]).build(grid),
-            seed=int(cfg["seed"]),
+            check=_section(cfg, "check"),
+            seed=_cast("seed", cfg["seed"], DEFAULT_CONFIG["seed"]),
             output_dir=Path(cfg["output_dir"]),
         )
 
@@ -167,8 +177,8 @@ class RunConfig:
                     f"initial_controls.{name}_file is set, but mode {self.mode.value!r} "
                     f"does not optimize {name!r}"
                 )
-        scale = float(ic["perturbation_scale"] or 0.0)
-        if not scale >= 0.0:
+        scale = _cast("initial_controls.perturbation_scale", ic["perturbation_scale"], 0.0)
+        if scale < 0.0:
             raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
         # a control is its file's array or one baseline row repeated in time; the
         # perturbation (one row) goes in place into a file's array, else a new row

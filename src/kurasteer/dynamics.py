@@ -133,10 +133,6 @@ class Trajectory:
         object.__setattr__(self, "data", d)
 
     @classmethod
-    def zeros(cls, grid: CircleGrid, tgrid: TimeGrid) -> "Trajectory":
-        return cls.constant(grid, tgrid, 0.0)
-
-    @classmethod
     def constant(cls, grid: CircleGrid, tgrid: TimeGrid, value: float) -> "Trajectory":
         return cls.from_field(Field.constant(grid, value), tgrid)
 
@@ -144,9 +140,6 @@ class Trajectory:
     def from_field(cls, field: Field, tgrid: TimeGrid) -> "Trajectory":
         """A static field in every time row: a view of its one read-only row."""
         return cls(field.grid, tgrid, np.broadcast_to(field.values, (tgrid.n_t + 1, field.grid.n_theta)))
-
-    def field_at(self, k: int) -> Field:
-        return Field(self.grid, self.data[k])
 
     def mass(self) -> FloatArray:
         """Per-row integral over the circle."""
@@ -329,18 +322,23 @@ def _peak(u: FloatArray | float, axis: int | tuple[int, ...] = (-2, -1)) -> Floa
     return np.maximum(u.max(axis=axis), -u.min(axis=axis)) if np.ndim(u) else abs(u)
 
 
-def required_dt(
-    grid: CircleGrid, peaks: dict[str, FloatArray | float], params: CouplingParams
-) -> FloatArray | float:
-    """Largest stable advective step: safety * dtheta / (max|u1| + max|u2|).
+def advective_speed(peaks: dict[str, FloatArray | float], params: CouplingParams) -> FloatArray | float:
+    """max|u1| + max|u2|, the bound on the transport speed that the CFL limit
+    divides by.
 
     `peaks` maps the given advecting controls to their max|u| (see _peak),
     one per history of a stack or a scalar; an absent control moves at its
     baseline's speed. The coupling velocity satisfies |w[q]| <= 1 for a
     normalized density, so max|u2| bounds the nonlocal transport speed.
     """
-    speed = sum(peaks.get(n, abs(spec.baseline(params))) for n, spec in CONTROLS.items() if spec.advects)
-    return CFL_SAFETY * grid.d_theta / (speed + 1e-12)
+    return sum(peaks.get(n, abs(spec.baseline(params))) for n, spec in CONTROLS.items() if spec.advects)
+
+
+def required_dt(
+    grid: CircleGrid, peaks: dict[str, FloatArray | float], params: CouplingParams
+) -> FloatArray | float:
+    """Largest stable advective step: safety * dtheta / advective_speed."""
+    return CFL_SAFETY * grid.d_theta / (advective_speed(peaks, params) + 1e-12)
 
 
 def first_non_finite(data: FloatArray, rows: range) -> int | None:

@@ -150,10 +150,6 @@ class Field:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_function(cls, grid: CircleGrid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.theta), dtype=np.float64))
-
-    @classmethod
     def constant(cls, grid: CircleGrid, value: float) -> "Field":
         return cls(grid, np.full(grid.n_theta, value))
 

@@ -42,6 +42,7 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     _solve_states,
+    advective_speed,
     read_only,
     row_blocks,
     solve_adjoint,
@@ -207,7 +208,7 @@ def space_time_inner(grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatA
     return _quadrature(grid, tgrid, sums)
 
 
-def _difference_sums(a: FloatArray, b: FloatArray | float, c: FloatArray | None = None) -> FloatArray:
+def difference_sums(a: FloatArray, b: FloatArray | float, c: FloatArray | None = None) -> FloatArray:
     """Row sums of c*(a - b), or of (a - b)**2 when c is None, for histories
     a and c and a history or scalar b."""
 
@@ -244,16 +245,14 @@ def _advective_caps(problem: OcpProblem) -> dict[str, float]:
     """Pointwise bounds keeping optimized advective controls CFL-integrable.
 
     The stability budget safety*dtheta/dt bounds the summed transport speeds
-    (the coupling velocity is bounded by 1). Inactive advecting controls keep
-    their baselines, whose speeds come off the budget; the rest is split
-    evenly over the active advecting controls. Controls that do not advect
-    need no cap.
+    (see dynamics.advective_speed). Inactive advecting controls keep their
+    baselines, whose speeds come off the budget; the rest is split evenly
+    over the active advecting controls. Controls that do not advect need no
+    cap.
     """
     budget = 0.995 * CFL_SAFETY * problem.grid.d_theta / problem.tgrid.dt
-    active = problem.mode.active_controls
-    advecting = [name for name, spec in CONTROLS.items() if spec.advects]
-    headroom = budget - sum(abs(CONTROLS[n].baseline(problem.params)) for n in advecting if n not in active)
-    shares = [n for n in advecting if n in active]
+    shares = [n for n in problem.mode.active_controls if CONTROLS[n].advects]
+    headroom = budget - advective_speed(dict.fromkeys(shares, 0.0), problem.params)
     caps = {name: headroom / len(shares) for name in shares}
     for name, cap in caps.items():
         if cap <= 0.0:
@@ -364,12 +363,12 @@ def cost(
     if z_traj.data.shape != q_traj.data.shape:
         raise ValueError("state and target trajectories have mismatched shapes")
     deviations = {
-        name: _difference_sums(
+        name: difference_sums(
             controls.array(name, grid, tgrid, params), weights.penalty_offset(CONTROLS[name], params)
         )
         for name in mode.active_controls
     }
-    return _cost_terms(grid, tgrid, weights, _difference_sums(q_traj.data, z_traj.data), deviations)
+    return _cost_terms(grid, tgrid, weights, difference_sums(q_traj.data, z_traj.data), deviations)
 
 
 def reduced_gradient(
@@ -416,7 +415,7 @@ def _polak_ribiere(
     Negation is exact, so -d holds the same values as d but for sign."""
     g_prev, e_prev = prev
     denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
-    numer = sum(_quadrature(grid, tgrid, _difference_sums(g[n], g_prev[n], g[n])) for n in g)
+    numer = sum(_quadrature(grid, tgrid, difference_sums(g[n], g_prev[n], g[n])) for n in g)
     beta = max(0.0, numer / denom)
     e_try = {}
     for n in g:
@@ -474,7 +473,7 @@ def optimize(problem: OcpProblem) -> OptResult:
                 np.clip(arr, -caps[n], caps[n], out=arr)
             u_try[n] = read_only(arr)
             # predicted decrease <g, u - P(u - s e)>; equals s*<g, e> unclipped
-            pred += _quadrature(grid, tgrid, _difference_sums(u[n], arr, g[n]))
+            pred += _quadrature(grid, tgrid, difference_sums(u[n], arr, g[n]))
         if not pred > 0.0:
             return None
         trials += 1
@@ -617,7 +616,6 @@ def gradient_check(
     n_directions: int = 5,
     eps_sweep: FloatArray | None = None,
     seed: int = 0,
-    bias: float = 0.0,
 ) -> GradientCheckReport:
     """Compare adjoint directional derivatives with central finite differences.
 
@@ -632,10 +630,8 @@ def gradient_check(
     remains is the O(dt) mismatch between the adjoint gradient and the
     derivative of the discrete cost, which a wrong gradient raises.
     Directions nearly orthogonal to the gradient are redrawn so the relative
-    error keeps a meaningful denominator. `bias` shifts the
-    adjoint gradient uniformly and exists as a fault-injection hook for
-    negative-control tests. n_directions must be at least 1: a check over no
-    direction would pass without testing anything.
+    error keeps a meaningful denominator. n_directions must be at least 1:
+    a check over no direction would pass without testing anything.
     """
     if n_directions < 1:
         raise ValueError(f"gradient_check needs n_directions >= 1, got {n_directions}")
@@ -652,9 +648,6 @@ def gradient_check(
     p_traj = solve_adjoint(q0_traj, problem.target, cs0, params, (weights.alpha_r, weights.alpha_t))
     g = reduced_gradient(q0_traj, p_traj, cs0, weights, mode, params, problem.shape)
     del cs0, q0_traj, p_traj  # the probes need only u0 and the directions
-    if bias != 0.0:
-        g = {n: arr + bias for n, arr in g.items()}
-
     gn = _grad_norm(grid, tgrid, g)
 
     def draw_direction() -> tuple[dict[str, FloatArray], float]:

@@ -58,8 +58,9 @@ class FixedPointResult:
     residual: float
 
 
-def stationary_fixed_point(params: CouplingParams, tol: float = 1e-12) -> FixedPointResult:
-    """Solve R = I_1(K R / D) / I_0(K R / D) by bisection.
+def stationary_fixed_point(params: CouplingParams) -> FixedPointResult:
+    """Solve R = I_1(K R / D) / I_0(K R / D) by Brent's method (scipy's
+    brentq, imported on first use as in bessel_ratio).
 
     Valid for zero phase lag. Below the synchronization threshold K/D = 2
     only the incoherent root R = 0 exists and is returned as converged.
@@ -84,19 +85,12 @@ def stationary_fixed_point(params: CouplingParams, tol: float = 1e-12) -> FixedP
     lo, hi = 0.01, 0.999
     if f(hi) >= 0.0:
         return FixedPointResult(R_star=hi, psi_star=0.0, converged=False, residual=abs(f(hi)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol or hi - lo < 1e-15:
-            break
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    residual = abs(f(mid))
+    from scipy.optimize import brentq
+
+    r_star = brentq(f, lo, hi, xtol=1e-15)
+    residual = abs(f(r_star))
     return FixedPointResult(
-        R_star=mid, psi_star=0.0, converged=residual <= 1e-10, residual=residual
+        R_star=r_star, psi_star=0.0, converged=residual <= 1e-10, residual=residual
     )
 
 
@@ -210,7 +204,7 @@ def simulate_particles(
             u2 = sample(u2a, k, th)
         else:
             u1, u2 = CONTROLS["u1"].baseline(params), CONTROLS["u2"].baseline(params)
-        drift = u1 + u2 * R[k] * np.sin(psi[k] - th - params.alpha)
+        drift = u1 + u2 * moment_interaction_drift(th, params.alpha)
         th = th + dt * drift
         if params.D > 0.0:
             th = th + noise_std * rng.standard_normal(ens.N)

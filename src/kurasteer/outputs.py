@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import Trajectory
-from .grid import CircleGrid, FloatArray
+from .grid import FloatArray
 from .optimizer import IterationRecord
 
 
@@ -73,9 +73,3 @@ def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def tracking_error_series(grid: CircleGrid, state: Trajectory, target: Trajectory) -> FloatArray:
-    """Integral of (q - z)^2 over the circle at every stored time."""
-    err = np.subtract(state.data, target.data)
-    return grid.quad_rows(np.multiply(err, err, out=err))

@@ -101,11 +101,6 @@ class DensitySpec:
         return f
 
 
-def save_field_values(path: Path, values: np.ndarray) -> None:
-    """Raw little-endian float64 samples, one circle row."""
-    np.asarray(values, dtype="<f8").tofile(path)
-
-
 def load_field_values(path: Path, grid: CircleGrid) -> np.ndarray:
     values = np.fromfile(path, dtype="<f8")
     if values.shape != (grid.n_theta,):

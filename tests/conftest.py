@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kurasteer import CircleGrid, CouplingParams, Field, TimeGrid
+from kurasteer import CircleGrid, CouplingParams, Field, TimeGrid, optimizer
 
 
 @pytest.fixture
@@ -51,3 +51,18 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def shift_gradient(monkeypatch):
+    """shift_gradient(s) adds s to every value of the gradients that
+    optimizer.reduced_gradient returns for the rest of the test: a wrong
+    adjoint gradient, which a gradient check must reject."""
+
+    def shift(by: float) -> None:
+        exact = optimizer.reduced_gradient
+        monkeypatch.setattr(
+            optimizer, "reduced_gradient", lambda *args, **kw: {n: g + by for n, g in exact(*args, **kw).items()}
+        )
+
+    return shift

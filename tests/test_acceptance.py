@@ -151,7 +151,7 @@ def test_criterion_05_heat_equation_exactness(scenario):
     exact = (1 + np.exp(-0.25) * np.cos(grid.theta)) / (2 * np.pi)
 
     def heat_error(n_t):
-        controls = ControlSet(u2=Trajectory.zeros(grid, TimeGrid(1.0, n_t)))
+        controls = ControlSet(u2=Trajectory.constant(grid, TimeGrid(1.0, n_t), 0.0))
         traj = solve_state(q0, controls, params, TimeGrid(1.0, n_t))
         return float(np.max(np.abs(traj.data[-1] - exact)))
 

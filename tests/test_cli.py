@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kurasteer
-from kurasteer import ControlSet, CostWeights, CouplingParams, OptimizerConfig, interaction_field, solve_state
+from kurasteer import ControlSet, CostWeights, CouplingParams, Field, OptimizerConfig, interaction_field, solve_state
 from kurasteer.checks import check_mass_and_bound
 from kurasteer.cli import main
 from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
@@ -50,6 +50,16 @@ class TestConfig:
         assert cfg["physics"]["D"] == 0.5
         assert cfg["physics"]["K"] == 1.0
         assert cfg["seed"] == 3
+
+    def test_readme_schema_has_the_default_keys(self):
+        # the README's configuration block names every key, at every level
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+
+        def keys(node):
+            return {k: keys(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+        assert keys(json.loads(block)) == keys(DEFAULT_CONFIG)
 
     def test_defaults_are_the_dataclass_defaults(self):
         runcfg = RunConfig.from_dict(load_config())
@@ -97,6 +107,15 @@ class TestConfig:
             ("optimizer.max_iters=5.9", "optimizer.max_iters"),
             ("optimizer.max_backtracks=true", "optimizer.max_backtracks"),
             ("physics.D=fast", "physics.D"),
+            # every count a whole number and every number finite, in every section
+            ("discretization.n_theta=64.9", "discretization.n_theta"),
+            ("check.directions=1.9", "check.directions"),
+            ("check.n_t=true", "check.n_t"),
+            ("seed=1.5", "seed"),
+            ("physics.D=NaN", "physics.D"),
+            ("weights.beta1=NaN", "weights.beta1"),
+            ("optimizer.grad_tol=NaN", "optimizer.grad_tol"),
+            ("discretization.T=NaN", "discretization.T"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -136,7 +155,7 @@ class TestConfig:
         assert not u2.flags.writeable
         assert np.array_equal(u2, start + bump[None, :])
 
-    @pytest.mark.parametrize("scale", ["-0.1", "NaN"])
+    @pytest.mark.parametrize("scale", ["-0.1", "NaN", "Infinity"])
     def test_bad_perturbation_scale_hard_error(self, tmp_path, capsys, scale):
         args = ["--set", f"initial_controls.perturbation_scale={scale}"]
         code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
@@ -314,7 +333,7 @@ class TestCheck:
     CHECK_FAST = [
         "--set", "discretization.n_t=600",
         "--set", "discretization.T=3.0",
-        "--set", 'check={"n_theta":32,"n_t":100,"T":0.5,"directions":2,"gradient_bias":0.0}',
+        "--set", 'check={"n_theta":32,"n_t":100,"T":0.5,"directions":2}',
     ]
 
     def test_default_checks_pass(self, tmp_path):
@@ -332,7 +351,7 @@ class TestCheck:
         overrides = ["discretization.n_t=600", "discretization.T=3.0", "physics.alpha=0.5"]
         runcfg = RunConfig.from_dict(load_config(None, overrides))
         traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-        rows = [interaction_field(traj.field_at(k), 0.5).values for k in range(runcfg.tgrid.n_t + 1)]
+        rows = [interaction_field(Field(runcfg.grid, traj.data[k]), 0.5).values for k in range(runcfg.tgrid.n_t + 1)]
         w_max = max(float(np.max(np.abs(w))) for w in rows)
         assert check_mass_and_bound(runcfg)["max_transport_field"] == w_max
 
@@ -341,11 +360,10 @@ class TestCheck:
         assert main(["check", "--out", str(tmp_path / "chk"), *args]) == 1
         assert "n_directions >= 1" in capsys.readouterr().err
 
-    def test_tampered_gradient_fails(self, tmp_path):
+    def test_tampered_gradient_fails(self, tmp_path, shift_gradient):
         out = tmp_path / "chk"
-        args = [a if "gradient_bias" not in a else a.replace('"gradient_bias":0.0', '"gradient_bias":0.05')
-                for a in self.CHECK_FAST]
-        assert main(["check", "--out", str(out), *args]) == 2
+        shift_gradient(0.05)
+        assert main(["check", "--out", str(out), *self.CHECK_FAST]) == 2
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
 

@@ -80,7 +80,7 @@ class TestTrajectory:
         assert np.all(traj.data == 2.0)
 
     def test_immutable(self, grid):
-        traj = Trajectory.zeros(grid, TimeGrid(1.0, 3))
+        traj = Trajectory.constant(grid, TimeGrid(1.0, 3), 0.0)
         with pytest.raises(ValueError):
             traj.data[0, 0] = 1.0
 
@@ -171,7 +171,7 @@ class TestSolveState:
         # u1 = u2 = 0: only diffusion acts, handled by the exact propagator
         params = CouplingParams(D=0.25, K=1.0)
         tg = TimeGrid(1.0, 200)
-        controls = ControlSet(u2=Trajectory.zeros(grid, tg))
+        controls = ControlSet(u2=Trajectory.constant(grid, tg, 0.0))
         traj = solve_state(cosine_density, controls, params, tg)
         exact = (1 + np.exp(-0.25) * np.cos(grid.theta)) / (2 * np.pi)
         assert np.max(np.abs(traj.data[-1] - exact)) <= 1e-8
@@ -198,7 +198,7 @@ class TestSolveState:
         tg = TimeGrid(10.0, 2000)
         traj = solve_state(gaussian_q0(grid), ControlSet(), params, tg)
         for k in range(0, tg.n_t + 1, 50):
-            w = interaction_field(traj.field_at(k), params.alpha)
+            w = interaction_field(Field(grid, traj.data[k]), params.alpha)
             assert np.max(np.abs(w.values)) <= 1.0 + 1e-6
 
     def test_approximate_positivity_default_resolution(self, grid, params):
@@ -228,7 +228,7 @@ class TestSolveState:
         tg = TimeGrid(1.0, 200)
         src = Trajectory.constant(grid, tg, 0.1 / (2 * np.pi))
         traj = solve_state(gaussian_q0(grid), ControlSet(source=src), params, tg)
-        assert integrate(traj.field_at(tg.n_t)) == pytest.approx(1.1, abs=1e-6)
+        assert integrate(Field(grid, traj.data[tg.n_t])) == pytest.approx(1.1, abs=1e-6)
 
     def test_allocates_one_history(self, coarse_grid, params, traced_peak):
         # the stepped rows, adopted by the Trajectory without a copy, plus
@@ -292,7 +292,7 @@ class TestAdjoint:
         z_data = q_traj.data.copy()
         z_data[-1] = z_data[-1] - np.cos(grid.theta)  # terminal mismatch = cos
         z_traj = Trajectory(grid, tg, z_data)
-        controls = ControlSet(u2=Trajectory.zeros(grid, tg))
+        controls = ControlSet(u2=Trajectory.constant(grid, tg, 0.0))
         p = solve_adjoint(q_traj, z_traj, controls, params, (0.0, 1.0))
         exact0 = np.exp(-0.25) * np.cos(grid.theta)
         assert np.max(np.abs(p.data[0] - exact0)) <= 1e-10

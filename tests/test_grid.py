@@ -88,7 +88,7 @@ class TestField:
 
 class TestDdtheta:
     def test_sin_to_cos(self, grid):
-        f = Field.from_function(grid, np.sin)
+        f = Field(grid, np.sin(grid.theta))
         assert np.max(np.abs(ddtheta(f).values - np.cos(grid.theta))) <= 1e-12
 
     def test_constant_to_zero(self, grid):
@@ -109,7 +109,7 @@ class TestIntegrate:
         assert integrate(Field.constant(grid, 1.0 / (2 * np.pi))) == pytest.approx(1.0, abs=1e-14)
 
     def test_odd_harmonic(self, grid):
-        assert abs(integrate(Field.from_function(grid, np.sin))) <= 1e-14
+        assert abs(integrate(Field(grid, np.sin(grid.theta)))) <= 1e-14
 
     def test_one_plus_cos(self, grid):
         f = Field(grid, 1.0 + np.cos(grid.theta))
@@ -121,7 +121,7 @@ class TestDiffuse:
         assert np.array_equal(grid.heat_multiplier(0.0, 1.0), np.ones(grid.n_theta // 2 + 1))
 
     def test_single_mode_decay(self, grid):
-        f = Field.from_function(grid, np.cos)
+        f = Field(grid, np.cos(grid.theta))
         out = diffuse(f, 0.25, 1.0)
         assert np.max(np.abs(out.values - np.exp(-0.25) * np.cos(grid.theta))) <= 1e-12
 

@@ -189,7 +189,7 @@ class TestCost:
     def test_shape_mismatch_rejected(self):
         grid, tgrid, params, q0, z = small_setup()
         q = solve_state(q0, ControlSet(), params, tgrid)
-        other = Trajectory.zeros(grid, TimeGrid(0.5, 25))
+        other = Trajectory.constant(grid, TimeGrid(0.5, 25), 0.0)
         with pytest.raises(ValueError):
             cost(q, other, ControlSet(), CostWeights(), ControlMode.VELOCITY, params)
 
@@ -198,7 +198,7 @@ class TestReducedGradient:
     def test_zero_adjoint_baseline_controls(self):
         grid, tgrid, params, q0, z = small_setup()
         q = solve_state(q0, ControlSet(), params, tgrid)
-        p = Trajectory.zeros(grid, tgrid)
+        p = Trajectory.constant(grid, tgrid, 0.0)
         for mode in ControlMode:
             g = reduced_gradient(q, p, ControlSet(), CostWeights(), mode, params)
             for arr in g.values():
@@ -209,7 +209,7 @@ class TestReducedGradient:
         c = 0.31
         u1 = Trajectory.constant(grid, tgrid, c)
         q = solve_state(q0, ControlSet(u1=u1), params, tgrid)
-        p = Trajectory.zeros(grid, tgrid)
+        p = Trajectory.constant(grid, tgrid, 0.0)
         g = reduced_gradient(q, p, ControlSet(u1=u1), CostWeights(), ControlMode.VELOCITY, params)
         assert np.max(np.abs(g["u1"] - 1e-3 * c)) <= 1e-15
 
@@ -220,7 +220,7 @@ class TestReducedGradient:
         u1 = Trajectory(grid, tgrid, 0.2 * rng.standard_normal((tgrid.n_t + 1, grid.n_theta)))
         cs = ControlSet(u1=u1)
         q = solve_state(q0, cs, params, tgrid)
-        p = Trajectory.zeros(grid, tgrid)
+        p = Trajectory.constant(grid, tgrid, 0.0)
         g = reduced_gradient(q, p, cs, w, ControlMode.VELOCITY, params)["u1"]
         delta = rng.standard_normal(g.shape)
         g_adj = space_time_inner(grid, tgrid, g, delta)
@@ -311,10 +311,9 @@ class TestGradientCheck:
         assert report.passed
         assert all(abs(d.adjoint_value) < 1e-12 for d in report.directions)
 
-    def test_tampered_gradient_fails(self):
-        report = gradient_check(
-            self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0, bias=0.05
-        )
+    def test_tampered_gradient_fails(self, shift_gradient):
+        shift_gradient(0.05)
+        report = gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0)
         assert not report.passed
 
     @pytest.mark.parametrize("n_directions", [0, -1])
@@ -322,12 +321,11 @@ class TestGradientCheck:
         with pytest.raises(ValueError, match="n_directions >= 1"):
             gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=n_directions)
 
-    def test_small_bias_fails(self):
+    def test_small_bias_fails(self, shift_gradient):
         # a uniform shift of 1e-3 still shows at the smallest eps, where the
         # correct gradient reads below 1e-4
-        report = gradient_check(
-            self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0, bias=1e-3
-        )
+        shift_gradient(1e-3)
+        report = gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0)
         assert not report.passed
 
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])

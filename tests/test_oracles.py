@@ -16,6 +16,7 @@ from kurasteer import (
     stationary_fixed_point,
     sync_series,
 )
+from kurasteer import oracles
 from kurasteer.oracles import (
     ParticleEnsemble,
     interaction_field_quadrature,
@@ -176,3 +177,19 @@ class TestSimulateParticles:
         a = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), None, params, tg)
         b = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), None, params, tg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_swarm_moves_by_the_checked_moment_drift(self, params, monkeypatch):
+        # criterion 10 checks moment_interaction_drift against the pairwise
+        # sum; the swarm's coupling is that function: doubling it moves the
+        # swarm exactly as doubling K does
+        tg = TimeGrid(1.0, 100)
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(CircleGrid(64))
+        ens = ParticleEnsemble.from_density(q0, 200, 5)
+        R, _ = simulate_particles(ens, None, params, tg)
+        R_strong, _ = simulate_particles(ens, None, CouplingParams(D=params.D, K=2.0 * params.K), tg)
+        monkeypatch.setattr(
+            oracles, "moment_interaction_drift", lambda thetas, alpha=0.0: 2.0 * moment_interaction_drift(thetas, alpha)
+        )
+        R_doubled, _ = simulate_particles(ens, None, params, tg)
+        assert not np.array_equal(R_doubled, R)
+        assert np.array_equal(R_doubled, R_strong)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kurasteer import integrate, order_parameter
-from kurasteer.scenarios import DensitySpec, load_field_values, save_field_values
+from kurasteer.scenarios import DensitySpec, load_field_values
 
 
 class TestDensitySpec:
@@ -42,13 +42,13 @@ class TestDensitySpec:
     def test_from_file_round_trip(self, grid, tmp_path):
         q = DensitySpec(kind="wrapped_gaussian", mean=2.0, sigma=0.5).build(grid)
         path = tmp_path / "density.f64"
-        save_field_values(path, q.values)
+        q.values.astype("<f8").tofile(path)
         back = DensitySpec.from_dict({"kind": "from_file", "path": str(path)}).build(grid)
         assert np.max(np.abs(back.values - q.values)) <= 1e-15
 
     def test_from_file_wrong_length(self, grid, tmp_path):
         path = tmp_path / "density.f64"
-        save_field_values(path, np.ones(17))
+        np.ones(17).astype("<f8").tofile(path)
         with pytest.raises(ValueError, match="17 samples"):
             load_field_values(path, grid)
 
@@ -56,7 +56,7 @@ class TestDensitySpec:
         path = tmp_path / "density.f64"
         values = np.full(grid.n_theta, 1.0)
         values[0] = -0.5
-        save_field_values(path, values)
+        values.astype("<f8").tofile(path)
         with pytest.raises(ValueError, match="negative"):
             DensitySpec(kind="from_file", path=str(path)).build(grid)
 
