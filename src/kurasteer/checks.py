@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .coupling import interaction_field, interaction_field_adjoint, interaction_values
 from .dynamics import ControlMode, ControlSet, ControlShape, solve_state
 from .grid import CircleGrid, Field, ddtheta, integrate, random_bandlimited
-from .optimizer import OcpProblem, OptimizerConfig, difference_sums, gradient_check
+from .optimizer import OcpProblem, difference_sums, gradient_check
 from .oracles import interaction_adjoint_quadrature, interaction_field_quadrature
 
 GREEN_TOL = 1e-10
@@ -106,20 +106,17 @@ def check_mass_and_bound(runcfg: RunConfig) -> dict:
 
 def coarse_problem(runcfg: RunConfig, mode: ControlMode) -> OcpProblem:
     """Gradient-check setup: the run's scenario, physics and weights on the
-    check section's grids, from the baseline controls."""
-    grids = {key: runcfg.check[key] for key in runcfg.raw["discretization"]}
-    coarse = RunConfig.from_dict({**runcfg.raw, "discretization": grids})
-    return OcpProblem(
-        grid=coarse.grid,
-        tgrid=coarse.tgrid,
-        params=coarse.params,
-        mode=mode,
-        shape=ControlShape.SPACE_TIME,
-        weights=coarse.weights,
-        optimizer=OptimizerConfig(),
-        q0=coarse.q0,
-        target=coarse.target_trajectory(),
-    )
+    check section's grids, space-time controls of the given mode from the
+    baseline, and the default optimizer settings."""
+    raw = runcfg.raw
+    return RunConfig.from_dict({
+        **raw,
+        "discretization": {key: runcfg.check[key] for key in raw["discretization"]},
+        "mode": mode.value,
+        "shape": ControlShape.SPACE_TIME.value,
+        "optimizer": DEFAULT_CONFIG["optimizer"],
+        "initial_controls": DEFAULT_CONFIG["initial_controls"],
+    }).problem()
 
 
 def check_gradients(runcfg: RunConfig) -> list[dict]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import run_all_checks
 from .config import RunConfig, load_config
-from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, Trajectory, solve_state, warn_if_negative
+from .dynamics import CONTROLS, CFLError, ControlSet, NumericsError, Trajectory, solve_state
 from .optimizer import difference_sums, optimize, sync_series
 from .outputs import write_convergence_csv, write_field_file, write_json, write_timeseries_csv
 
@@ -106,14 +106,8 @@ def cmd_optimize(runcfg: RunConfig) -> int:
     out = runcfg.output_dir
     problem = runcfg.problem()
     result = optimize(problem)
-
-    # uncontrolled baseline for side-by-side metrics: the descent's first state
-    # when it started from the baseline controls
-    baseline = result.uncontrolled
-    if baseline is None:
-        baseline = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-    else:
-        warn_if_negative(baseline.data, "state")
+    # the uncontrolled state, solved as simulate solves it, for side-by-side metrics
+    baseline = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
     _, baseline_metrics = _state_report(baseline, problem.target, runcfg.weights.alpha_r)
     series, metrics = _state_report(result.state, problem.target, runcfg.weights.alpha_r)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .coupling import CouplingParams
 from .dynamics import CONTROLS, ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory
 from .grid import CircleGrid, Field, random_bandlimited
 from .optimizer import CostWeights, OcpProblem, OptimizerConfig
-from .scenarios import DensitySpec
+from .scenarios import DensitySpec, cast_setting, read_samples
 
 DEFAULT_CONFIG: dict = {
     "physics": asdict(CouplingParams()),
@@ -101,29 +100,10 @@ def _merge(base: dict, update: dict, prefix: str = "") -> None:
             base[key] = value
 
 
-KIND_NAMES = {bool: "true or false", int: "a whole number", float: "a finite number", str: "a string"}
-
-
-def _cast(key: str, value: object, default: object):
-    """A config value cast to the type of its default. A flag must be a JSON
-    boolean, a count a whole number and a number finite; anything else stops
-    the run with an error that names the key."""
-    kind = type(default)
-    try:
-        if isinstance(value, bool) != (kind is bool):
-            raise TypeError
-        cast = kind(value)
-        if kind is int and cast != value or kind is float and not math.isfinite(cast):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be {KIND_NAMES[kind]}, got {value!r}") from None
-    return cast
-
-
 def _section(cfg: dict, name: str) -> dict:
     """A config section with each value cast to the type of its default."""
     defaults = DEFAULT_CONFIG[name]
-    return {key: _cast(f"{name}.{key}", cfg[name][key], default) for key, default in defaults.items()}
+    return {key: cast_setting(f"{name}.{key}", cfg[name][key], default) for key, default in defaults.items()}
 
 
 @dataclass(frozen=True)
@@ -157,10 +137,10 @@ class RunConfig:
             shape=ControlShape(cfg["shape"]),
             weights=CostWeights(**_section(cfg, "weights")),
             optimizer=OptimizerConfig(**_section(cfg, "optimizer")),
-            q0=DensitySpec.from_dict(cfg["scenario"]["q0"]).build(grid),
-            target_field=DensitySpec.from_dict(cfg["scenario"]["target"]).build(grid),
+            q0=DensitySpec.from_dict(cfg["scenario"]["q0"], "scenario.q0").build(grid),
+            target_field=DensitySpec.from_dict(cfg["scenario"]["target"], "scenario.target").build(grid),
             check=_section(cfg, "check"),
-            seed=_cast("seed", cfg["seed"], DEFAULT_CONFIG["seed"]),
+            seed=cast_setting("seed", cfg["seed"], DEFAULT_CONFIG["seed"]),
             output_dir=Path(cfg["output_dir"]),
         )
 
@@ -177,7 +157,7 @@ class RunConfig:
                     f"initial_controls.{name}_file is set, but mode {self.mode.value!r} "
                     f"does not optimize {name!r}"
                 )
-        scale = _cast("initial_controls.perturbation_scale", ic["perturbation_scale"], 0.0)
+        scale = cast_setting("initial_controls.perturbation_scale", ic["perturbation_scale"], 0.0)
         if scale < 0.0:
             raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
         # a control is its file's array or one baseline row repeated in time; the
@@ -187,12 +167,7 @@ class RunConfig:
         for name in self.mode.active_controls:
             path = ic[f"{name}_file"]
             if path:
-                arr = np.fromfile(path, dtype="<f8")
-                if arr.size != shape[0] * shape[1]:
-                    raise ValueError(
-                        f"control file {path} holds {arr.size} samples, expected {shape[0] * shape[1]}"
-                    )
-                arrays[name] = arr.reshape(shape)
+                arrays[name] = read_samples(path, shape[0] * shape[1]).reshape(shape)
             else:
                 arrays[name] = Field.constant(self.grid, CONTROLS[name].baseline(self.params)).values
         if scale > 0.0:

@@ -26,7 +26,7 @@ class CouplingParams:
     K: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.D < 0.0:
+        if not self.D >= 0.0:
             raise ValueError(f"diffusion coefficient D must be >= 0, got {self.D}")
 
 

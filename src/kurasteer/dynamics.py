@@ -70,7 +70,7 @@ class TimeGrid:
     n_t: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError(f"final time T must be > 0, got {self.T}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")

@@ -54,6 +54,7 @@ from .grid import TWO_PI, CircleGrid, Field, FloatArray
 logger = logging.getLogger(__name__)
 
 GRADCHECK_TOL = 1e-3
+EPS_SWEEP = np.logspace(-1, -5, 9)  # gradient_check's finite-difference steps, descending
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class CostWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha_r", "alpha_t", "beta1", "beta2", "beta_lin"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
     def validate_for_mode(self, mode: ControlMode) -> None:
@@ -115,7 +116,7 @@ class OptimizerConfig:
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         for name in ("initial_step", "grad_tol", "cost_rel_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
@@ -165,9 +166,7 @@ class OptResult:
     that was solved), adjoint_solves is 1 + the accepted steps. A "stalled"
     run adds one to each: the descent does not hold the state and adjoint of
     its iterate through the line search, and solves both again at the
-    returned controls, which line_search_trials does not count. `uncontrolled`
-    is the state under the baseline controls when the descent started there
-    (its first iterate), else None.
+    returned controls, which line_search_trials does not count.
     """
 
     status: str
@@ -178,7 +177,6 @@ class OptResult:
     state_solves: int
     adjoint_solves: int
     line_search_trials: int
-    uncontrolled: Trajectory | None = None
 
     @property
     def final(self) -> IterationRecord:
@@ -276,8 +274,8 @@ def _evaluate(
 ) -> tuple[ControlSet, Trajectory, tuple[float, float, float]]:
     """Controls, state and (J, J_q, J_u) at the control arrays u.
 
-    ResolutionWarning is silenced: line-search trials and coarse
-    finite-difference probes are allowed to dip negative.
+    ResolutionWarning is silenced: line-search trials are allowed to dip
+    negative.
     """
     cs = _control_set(u, problem.grid, problem.tgrid)
     with warnings.catch_warnings():
@@ -494,8 +492,6 @@ def optimize(problem: OcpProblem) -> OptResult:
 
     u = _baseline_arrays(problem)
     cs, q_traj, (j, j_q, j_u) = _evaluate(problem, u)
-    at_baseline = all(np.all(arr == CONTROLS[n].baseline(params)) for n, arr in u.items())
-    uncontrolled = q_traj if at_baseline else None
     p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
     state_solves = adjoint_solves = 1
 
@@ -561,7 +557,6 @@ def optimize(problem: OcpProblem) -> OptResult:
         state_solves=state_solves + trials,
         adjoint_solves=adjoint_solves,
         line_search_trials=trials,
-        uncontrolled=uncontrolled,
     )
 
 
@@ -594,13 +589,11 @@ class GradientCheckReport:
     passed: bool
 
 
-def _smooth_direction(
-    rng: np.random.Generator, grid: CircleGrid, tgrid: TimeGrid, n_modes: int = 3
-) -> FloatArray:
-    """Random separable band-limited direction, resolution-independent."""
+def _smooth_direction(rng: np.random.Generator, grid: CircleGrid, tgrid: TimeGrid) -> FloatArray:
+    """Random separable band-limited direction of three modes, resolution-independent."""
     th, t = grid.theta, tgrid.times
     out = np.zeros((tgrid.n_t + 1, grid.n_theta))
-    for _ in range(n_modes):
+    for _ in range(3):
         k = rng.integers(0, 7)
         j = rng.integers(0, 4)
         amp = rng.standard_normal()
@@ -611,17 +604,12 @@ def _smooth_direction(
     return out
 
 
-def gradient_check(
-    problem: OcpProblem,
-    n_directions: int = 5,
-    eps_sweep: FloatArray | None = None,
-    seed: int = 0,
-) -> GradientCheckReport:
+def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) -> GradientCheckReport:
     """Compare adjoint directional derivatives with central finite differences.
 
     For each random band-limited direction, the adjoint value <grad J, delta>
-    is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) over a
-    sweep of decreasing eps. Every direction is drawn first; then all the
+    is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) for
+    each eps of EPS_SWEEP. Every direction is drawn first; then all the
     probes u +- eps*delta, every direction and both signs, are solved and
     scored in one batch that keeps no probe history (see _probe_costs). A
     CFL violation in any probe stops the check before any probe is solved.
@@ -635,9 +623,6 @@ def gradient_check(
     """
     if n_directions < 1:
         raise ValueError(f"gradient_check needs n_directions >= 1, got {n_directions}")
-    if eps_sweep is None:
-        eps_sweep = np.logspace(-1, -5, 9)
-    eps_sweep = np.sort(np.asarray(eps_sweep, dtype=np.float64))[::-1]
 
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
     mode, weights = problem.mode, problem.weights
@@ -670,24 +655,24 @@ def gradient_check(
     deltas = {n: np.stack([delta[n] for delta, _ in drawn]) for n in u0}
     adjoint_values = [g_adj for _, g_adj in drawn]
     del drawn, g  # the probe solve holds the directions once, and no gradient
-    costs = _probe_costs(problem, u0, deltas, np.concatenate((eps_sweep, -eps_sweep)))
+    costs = _probe_costs(problem, u0, deltas, np.concatenate((EPS_SWEEP, -EPS_SWEEP)))
 
     checks = []
     for g_adj, j_plus, j_minus in zip(adjoint_values, *np.split(costs, 2, axis=1)):
-        fd_arr = (j_plus - j_minus) / (2.0 * eps_sweep)
+        fd_arr = (j_plus - j_minus) / (2.0 * EPS_SWEEP)
         if max(abs(g_adj), float(np.max(np.abs(fd_arr)))) <= zero_floor:
             # stationary direction: adjoint and FD agree on a zero derivative
-            rel_arr, imin = np.zeros(len(eps_sweep)), len(eps_sweep) - 1
+            rel_arr, imin = np.zeros(len(EPS_SWEEP)), len(EPS_SWEEP) - 1
         else:
             rel_arr = np.abs(fd_arr - g_adj) / max(abs(g_adj), 1e-300)
             imin = int(np.argmin(rel_arr))
         checks.append(
             DirectionCheck(
                 adjoint_value=g_adj,
-                eps=tuple(float(e) for e in eps_sweep),
+                eps=tuple(float(e) for e in EPS_SWEEP),
                 rel_errors=tuple(float(r) for r in rel_arr),
                 min_rel_error=float(rel_arr[imin]),
-                eps_at_min=float(eps_sweep[imin]),
+                eps_at_min=float(EPS_SWEEP[imin]),
             )
         )
     return GradientCheckReport(

@@ -53,7 +53,6 @@ class FixedPointResult:
     """Self-consistent coherence of the synchronized steady state."""
 
     R_star: float
-    psi_star: float
     converged: bool
     residual: float
 
@@ -64,8 +63,8 @@ def stationary_fixed_point(params: CouplingParams) -> FixedPointResult:
 
     Valid for zero phase lag. Below the synchronization threshold K/D = 2
     only the incoherent root R = 0 exists and is returned as converged.
-    The mean phase is not determined by the fixed point; psi_star is 0 and
-    callers align it with the trajectory under comparison.
+    The mean phase is not determined by the fixed point; callers align it
+    with the trajectory under comparison.
     """
     if params.D <= 0.0:
         raise ValueError("stationary fixed point requires D > 0")
@@ -80,18 +79,16 @@ def stationary_fixed_point(params: CouplingParams) -> FixedPointResult:
         return bessel_ratio(kappa * r) - r
 
     if kappa <= SYNC_THRESHOLD or f(0.01) <= 0.0:
-        return FixedPointResult(R_star=0.0, psi_star=0.0, converged=True, residual=0.0)
+        return FixedPointResult(R_star=0.0, converged=True, residual=0.0)
 
     lo, hi = 0.01, 0.999
     if f(hi) >= 0.0:
-        return FixedPointResult(R_star=hi, psi_star=0.0, converged=False, residual=abs(f(hi)))
+        return FixedPointResult(R_star=hi, converged=False, residual=abs(f(hi)))
     from scipy.optimize import brentq
 
     r_star = brentq(f, lo, hi, xtol=1e-15)
     residual = abs(f(r_star))
-    return FixedPointResult(
-        R_star=r_star, psi_star=0.0, converged=residual <= 1e-10, residual=residual
-    )
+    return FixedPointResult(R_star=r_star, converged=residual <= 1e-10, residual=residual)
 
 
 def stationary_density(grid: CircleGrid, params: CouplingParams, psi: float = 0.0) -> Field:
@@ -108,33 +105,28 @@ def stationary_density(grid: CircleGrid, params: CouplingParams, psi: float = 0.
 class ParticleEnsemble:
     """Finite swarm of oscillator phases, wrapped to [0, 2*pi)."""
 
-    N: int
     thetas: FloatArray
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError(f"need at least 2 oscillators, got {self.N}")
         th = np.array(self.thetas, dtype=np.float64)
-        if th.shape != (self.N,):
-            raise ValueError(f"thetas shape {th.shape} != ({self.N},)")
+        if th.ndim != 1:
+            raise ValueError(f"thetas must be one-dimensional, got shape {th.shape}")
+        if len(th) < 2:
+            raise ValueError(f"need at least 2 oscillators, got {len(th)}")
         th = np.mod(th, TWO_PI)
         th.setflags(write=False)
         object.__setattr__(self, "thetas", th)
 
     @classmethod
-    def from_density(
-        cls, q0: Field, N: int, rng_seed: int, stratified: bool = True
-    ) -> "ParticleEnsemble":
+    def from_density(cls, q0: Field, N: int, rng_seed: int) -> "ParticleEnsemble":
         """Sample N phases from a grid density via the piecewise-linear CDF.
 
         Stratified sampling (one draw per probability stratum) keeps the
         empirical measure unbiased while cutting initial-condition noise.
         """
         rng = np.random.default_rng(rng_seed)
-        u = rng.uniform(size=N)
-        if stratified:
-            u = (np.arange(N) + u) / N
+        u = (np.arange(N) + rng.uniform(size=N)) / N
         grid = q0.grid
         # periodic node set with the wrap point appended so the CDF closes at 1
         pdf = np.append(q0.values, q0.values[0])
@@ -142,14 +134,19 @@ class ParticleEnsemble:
         cdf = np.concatenate(([0.0], np.cumsum((pdf[:-1] + pdf[1:]) * 0.5 * grid.d_theta)))
         cdf /= cdf[-1]
         thetas = np.interp(u, cdf, theta_nodes)
-        return cls(N=N, thetas=thetas, rng_seed=rng_seed)
+        return cls(thetas=thetas, rng_seed=rng_seed)
 
 
 def moment_interaction_drift(thetas: FloatArray, alpha: float = 0.0) -> FloatArray:
     """(1/N) sum_j sin(theta_j - theta_i - alpha) in O(N) via the first moment."""
+    return _moment_and_drift(thetas, alpha)[1]
+
+
+def _moment_and_drift(thetas: FloatArray, alpha: float) -> tuple[complex, FloatArray]:
+    """The first moment z = mean(exp(i theta)) and moment_interaction_drift
+    from it: R sin(psi - theta_i - alpha) with z = R exp(i psi)."""
     z = np.exp(1j * thetas).mean()
-    R, psi = np.abs(z), np.angle(z)
-    return R * np.sin(psi - thetas - alpha)
+    return z, np.abs(z) * np.sin(np.angle(z) - thetas - alpha)
 
 
 def pairwise_interaction_drift(thetas: FloatArray, alpha: float = 0.0) -> FloatArray:
@@ -195,7 +192,7 @@ def simulate_particles(
     R = np.empty(tgrid.n_t + 1)
     psi = np.empty(tgrid.n_t + 1)
     for k in range(tgrid.n_t + 1):
-        z = np.exp(1j * th).mean()
+        z, coupling = _moment_and_drift(th, params.alpha)
         R[k], psi[k] = np.abs(z), np.angle(z) % TWO_PI
         if k == tgrid.n_t:
             break
@@ -204,9 +201,8 @@ def simulate_particles(
             u2 = sample(u2a, k, th)
         else:
             u1, u2 = CONTROLS["u1"].baseline(params), CONTROLS["u2"].baseline(params)
-        drift = u1 + u2 * moment_interaction_drift(th, params.alpha)
-        th = th + dt * drift
+        th = th + dt * (u1 + u2 * coupling)
         if params.D > 0.0:
-            th = th + noise_std * rng.standard_normal(ens.N)
+            th = th + noise_std * rng.standard_normal(len(th))
         th = np.mod(th, TWO_PI)
     return R, psi

@@ -16,6 +16,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .grid import FloatArray
 from .optimizer import IterationRecord
+from .scenarios import read_samples
 
 
 def fmt(x: float) -> str:
@@ -65,8 +66,8 @@ def write_field_file(path: Path, traj: Trajectory, name: str, units: str) -> Non
 def read_field_file(path: Path) -> tuple[dict, np.ndarray]:
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         header = json.load(fh)
-    data = np.fromfile(path, dtype="<f8").reshape(header["n_t"] + 1, header["n_theta"])
-    return header, data.astype(np.float64)
+    shape = (header["n_t"] + 1, header["n_theta"])
+    return header, read_samples(path, shape[0] * shape[1]).reshape(shape)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -1,7 +1,9 @@
-"""Initial and target density construction from declarative specs."""
+"""Initial and target density construction from declarative specs, the
+cast that checks every config value, and the reader of raw sample files."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +19,34 @@ KIND_KEYS = {  # the keys of a density spec besides "kind", per kind
     "mixture": ("components",),
     "from_file": ("path",),
 }
+COMPONENT_KEYS = ("weight", "mean", "sigma")  # of a mixture component
+
+
+TYPE_NAMES = {bool: "true or false", int: "a whole number", float: "a finite number", str: "a string"}
+
+
+def cast_setting(key: str, value: object, default: object):
+    """A config value cast to the type of its default. A flag must be a JSON
+    boolean, a count a whole number, a number finite and not a string;
+    anything else stops the run with an error that names the key."""
+    kind = type(default)
+    try:
+        if isinstance(value, bool) != (kind is bool) or isinstance(value, str) != (kind is str):
+            raise TypeError
+        cast = kind(value)
+        if kind is int and cast != value or kind is float and not math.isfinite(cast):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be {TYPE_NAMES[kind]}, got {value!r}") from None
+    return cast
+
+
+def read_samples(path: str | Path, count: int) -> np.ndarray:
+    """The little-endian float64 samples of a raw file, which must hold `count`."""
+    values = np.fromfile(path, dtype="<f8")
+    if values.size != count:
+        raise ValueError(f"{path} holds {values.size} samples, expected {count} (little-endian float64)")
+    return values
 
 
 def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float) -> np.ndarray:
@@ -50,7 +80,9 @@ class DensitySpec:
     path: str = ""
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DensitySpec":
+    def from_dict(cls, d: dict, key: str) -> "DensitySpec":
+        """The spec of the config dict d at the config key `key`, which
+        errors name."""
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in KIND_KEYS:
             raise ValueError(f"unknown density kind {kind!r}")
@@ -58,13 +90,13 @@ class DensitySpec:
         if kind == "uniform":
             return cls(kind="uniform")
         if kind == "wrapped_gaussian":
-            return cls(kind=kind, mean=float(d["mean"]), sigma=float(d["sigma"]))
+            return cls(kind=kind, **{k: cast_setting(f"{key}.{k}", d[k], 0.0) for k in KIND_KEYS[kind]})
         if kind == "mixture":
             for c in d["components"]:
-                _reject_unused(c, {"weight", "mean", "sigma"}, "a mixture component")
+                _reject_unused(c, set(COMPONENT_KEYS), "a mixture component")
             comps = tuple(
-                (float(c["weight"]), float(c["mean"]), float(c["sigma"]))
-                for c in d["components"]
+                tuple(cast_setting(f"{key}.components[{i}].{k}", c[k], 0.0) for k in COMPONENT_KEYS)
+                for i, c in enumerate(d["components"])
             )
             if not comps:
                 raise ValueError("mixture needs at least one component")
@@ -86,7 +118,7 @@ class DensitySpec:
                     raise ValueError("mixture weights must be nonnegative")
                 raw += (w / total) * wrapped_gaussian_values(grid, mu, sig)
         elif self.kind == "from_file":
-            raw = load_field_values(Path(self.path), grid)
+            raw = read_samples(self.path, grid.n_theta)
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
 
@@ -99,12 +131,3 @@ class DensitySpec:
         f = Field(grid, raw / mass)
         assert abs(grid.quad(f.values) - 1.0) <= NORMALIZATION_TOL
         return f
-
-
-def load_field_values(path: Path, grid: CircleGrid) -> np.ndarray:
-    values = np.fromfile(path, dtype="<f8")
-    if values.shape != (grid.n_theta,):
-        raise ValueError(
-            f"density file {path} holds {values.size} samples, grid needs {grid.n_theta}"
-        )
-    return values.astype(np.float64)

@@ -116,6 +116,13 @@ class TestConfig:
             ("weights.beta1=NaN", "weights.beta1"),
             ("optimizer.grad_tol=NaN", "optimizer.grad_tol"),
             ("discretization.T=NaN", "discretization.T"),
+            # a number is not a JSON string, also in a density spec
+            ('physics.D="0.1"', "physics.D"),
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":1.0,"sigma":true}', "scenario.q0.sigma"),
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":"1.0","sigma":0.8}', "scenario.q0.mean"),
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":NaN,"sigma":0.8}', "scenario.q0.mean"),
+            ('scenario.target={"kind":"mixture","components":[{"weight":1,"mean":1.0,"sigma":"0.3"}]}',
+             "scenario.target.components[0].sigma"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -135,6 +142,15 @@ class TestConfig:
         assert code == 1
         assert "initial_controls.source_file" in capsys.readouterr().err
         assert not (tmp_path / "x" / "summary.json").exists()
+
+    def test_control_file_wrong_length_hard_error(self, tmp_path, capsys):
+        path = tmp_path / "u1.f64"
+        np.zeros(17).astype("<f8").tofile(path)
+        args = ["--set", f"initial_controls.u1_file={path}"]
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "17 samples" in err and f"expected {101 * 32}" in err
 
     def test_control_file_read_once(self, tmp_path, traced_peak):
         # the file's one array, perturbed in place and adopted read-only
@@ -273,6 +289,17 @@ class TestOptimize:
         summary = json.loads((opt / "summary.json").read_text())
         assert summary["min_density"] == float(read_field_file(opt / "state.f64")[1].min())
         assert summary["baseline"]["min_density"] == float(read_field_file(sim / "state.f64")[1].min())
+
+    def test_baseline_is_what_simulate_writes(self, tmp_path):
+        # from the baseline controls at K != 1, where the descent's first
+        # state once stood in for it and differed in the last bit
+        sim, opt = tmp_path / "sim", tmp_path / "opt"
+        args = [*FAST, "--set", "mode=interaction", "--set", "physics.K=1.5", "--set", "physics.alpha=0.3"]
+        assert main(["simulate", "--out", str(sim), *args]) == 0
+        assert main(["optimize", "--out", str(opt), *args, "--set", "optimizer.max_iters=1"]) == 0
+        simulated = json.loads((sim / "summary.json").read_text())
+        baseline = json.loads((opt / "summary.json").read_text())["baseline"]
+        assert baseline == {key: simulated[key] for key in baseline}
 
     def test_solve_counts_in_summary(self, tmp_path):
         out = tmp_path / "run"

@@ -93,10 +93,14 @@ class TestStationaryFixedPoint:
 class TestParticleEnsemble:
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
-            ParticleEnsemble(N=1, thetas=np.zeros(1), rng_seed=0)
+            ParticleEnsemble(thetas=np.zeros(1), rng_seed=0)
+
+    def test_requires_one_dimensional_phases(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ParticleEnsemble(thetas=np.zeros((2, 2)), rng_seed=0)
 
     def test_wraps_phases(self):
-        ens = ParticleEnsemble(N=3, thetas=np.array([-1.0, 7.0, 2.0]), rng_seed=0)
+        ens = ParticleEnsemble(thetas=np.array([-1.0, 7.0, 2.0]), rng_seed=0)
         assert np.all(ens.thetas >= 0.0) and np.all(ens.thetas < 2 * np.pi)
 
     def test_from_density_matches_target_moments(self, grid):
@@ -123,14 +127,14 @@ class TestSimulateParticles:
         # no coupling, no velocity, no noise: phases do not move
         params = CouplingParams(D=0.0, K=0.0)
         tg = TimeGrid(1.0, 50)
-        ens = ParticleEnsemble(N=16, thetas=np.linspace(0, 5, 16), rng_seed=0)
+        ens = ParticleEnsemble(thetas=np.linspace(0, 5, 16), rng_seed=0)
         R, _ = simulate_particles(ens, None, params, tg)
         assert np.max(np.abs(R - R[0])) <= 1e-12
 
     def test_synchronized_cluster_stays_locked(self):
         params = CouplingParams(D=0.0, K=1.0, alpha=0.0)
         tg = TimeGrid(1.0, 50)
-        ens = ParticleEnsemble(N=32, thetas=np.full(32, 1.3), rng_seed=0)
+        ens = ParticleEnsemble(thetas=np.full(32, 1.3), rng_seed=0)
         R, psi = simulate_particles(ens, None, params, tg)
         assert np.all(np.abs(R - 1.0) <= 1e-12)
         assert np.all(np.abs(psi - 1.3) <= 1e-10)
@@ -144,7 +148,7 @@ class TestSimulateParticles:
         controls = ControlSet(u1=u1)
 
         theta0 = np.pi / 2
-        ens = ParticleEnsemble(N=2, thetas=np.full(2, theta0), rng_seed=0)
+        ens = ParticleEnsemble(thetas=np.full(2, theta0), rng_seed=0)
         _, psi = simulate_particles(ens, controls, params, tg, grid=grid)
 
         q0 = DensitySpec(kind="wrapped_gaussian", mean=theta0, sigma=0.25).build(grid)
@@ -180,16 +184,21 @@ class TestSimulateParticles:
 
     def test_swarm_moves_by_the_checked_moment_drift(self, params, monkeypatch):
         # criterion 10 checks moment_interaction_drift against the pairwise
-        # sum; the swarm's coupling is that function: doubling it moves the
-        # swarm exactly as doubling K does
+        # sum; the swarm's coupling is the drift of _moment_and_drift, which
+        # that function returns: doubling it moves the swarm exactly as
+        # doubling K does
         tg = TimeGrid(1.0, 100)
         q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(CircleGrid(64))
         ens = ParticleEnsemble.from_density(q0, 200, 5)
         R, _ = simulate_particles(ens, None, params, tg)
         R_strong, _ = simulate_particles(ens, None, CouplingParams(D=params.D, K=2.0 * params.K), tg)
-        monkeypatch.setattr(
-            oracles, "moment_interaction_drift", lambda thetas, alpha=0.0: 2.0 * moment_interaction_drift(thetas, alpha)
-        )
+        exact = oracles._moment_and_drift
+
+        def doubled(thetas, alpha):
+            z, drift = exact(thetas, alpha)
+            return z, 2.0 * drift
+
+        monkeypatch.setattr(oracles, "_moment_and_drift", doubled)
         R_doubled, _ = simulate_particles(ens, None, params, tg)
         assert not np.array_equal(R_doubled, R)
         assert np.array_equal(R_doubled, R_strong)

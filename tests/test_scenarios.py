@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from kurasteer import integrate, order_parameter
-from kurasteer.scenarios import DensitySpec, load_field_values
+from kurasteer.scenarios import DensitySpec
 
 
 class TestDensitySpec:
     def test_uniform(self, grid):
-        q = DensitySpec.from_dict({"kind": "uniform"}).build(grid)
+        q = DensitySpec.from_dict({"kind": "uniform"}, "scenario.q0").build(grid)
         assert np.all(q.values == q.values[0])
         assert integrate(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_gaussian_normalized_and_centered(self, grid):
         q = DensitySpec.from_dict(
-            {"kind": "wrapped_gaussian", "mean": 3 * np.pi / 2, "sigma": 0.4}
+            {"kind": "wrapped_gaussian", "mean": 3 * np.pi / 2, "sigma": 0.4}, "scenario.q0"
         ).build(grid)
         assert integrate(q) == pytest.approx(1.0, abs=1e-12)
         assert np.all(q.values >= 0.0)
@@ -33,7 +33,8 @@ class TestDensitySpec:
                     {"weight": 2.0, "mean": 1.0, "sigma": 0.5},
                     {"weight": 1.0, "mean": 4.0, "sigma": 0.3},
                 ],
-            }
+            },
+            "scenario.q0",
         )
         q = spec.build(grid)
         assert integrate(q) == pytest.approx(1.0, abs=1e-12)
@@ -43,14 +44,14 @@ class TestDensitySpec:
         q = DensitySpec(kind="wrapped_gaussian", mean=2.0, sigma=0.5).build(grid)
         path = tmp_path / "density.f64"
         q.values.astype("<f8").tofile(path)
-        back = DensitySpec.from_dict({"kind": "from_file", "path": str(path)}).build(grid)
+        back = DensitySpec.from_dict({"kind": "from_file", "path": str(path)}, "scenario.q0").build(grid)
         assert np.max(np.abs(back.values - q.values)) <= 1e-15
 
     def test_from_file_wrong_length(self, grid, tmp_path):
         path = tmp_path / "density.f64"
         np.ones(17).astype("<f8").tofile(path)
         with pytest.raises(ValueError, match="17 samples"):
-            load_field_values(path, grid)
+            DensitySpec.from_dict({"kind": "from_file", "path": str(path)}, "scenario.q0").build(grid)
 
     def test_negative_density_rejected(self, grid, tmp_path):
         path = tmp_path / "density.f64"
@@ -63,7 +64,7 @@ class TestDensitySpec:
     @pytest.mark.parametrize("bad", [{"kind": "gaussian"}, {"kind": "mixture", "components": []}])
     def test_invalid_specs(self, bad):
         with pytest.raises(ValueError):
-            DensitySpec.from_dict(bad)
+            DensitySpec.from_dict(bad, "scenario.q0")
 
     @pytest.mark.parametrize(
         "spec, key",
@@ -76,7 +77,7 @@ class TestDensitySpec:
     )
     def test_unused_keys_rejected(self, spec, key):
         with pytest.raises(ValueError, match=key):
-            DensitySpec.from_dict(spec)
+            DensitySpec.from_dict(spec, "scenario.q0")
 
     def test_nonpositive_sigma_rejected(self, grid):
         with pytest.raises(ValueError):
