@@ -4,16 +4,18 @@
 Post-hoc only: reads the CSV/field files written by `kurasteer simulate` or
 `kurasteer optimize`; the solver never depends on this script.
 
-Usage: python scripts/plot_run.py OUT_DIR [--save DIR]
+Usage: python scripts/plot_run.py OUT_DIR [--save DIR], with the package
+installed (pip install -e .), whose reader checks each field file's length.
 """
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from kurasteer.outputs import read_field_file
 
 try:
     import matplotlib
@@ -30,13 +32,6 @@ def read_csv(path):
         rows = list(csv.reader(fh))
     header, data = rows[0], np.array([[float(x) for x in r] for r in rows[1:]])
     return {name: data[:, i] for i, name in enumerate(header)}
-
-
-def read_field(path):
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        meta = json.load(fh)
-    data = np.fromfile(path, dtype="<f8").reshape(meta["n_t"] + 1, meta["n_theta"])
-    return meta, data
 
 
 def spacetime_panel(ax, meta, data, title):
@@ -91,7 +86,7 @@ def main():
         path = out / f"{name}.f64"
         if not path.exists():
             continue
-        meta, data = read_field(path)
+        meta, data = read_field_file(path)
         fig, ax = plt.subplots(figsize=(6, 4.5))
         pcm = spacetime_panel(ax, meta, data, meta["field"])
         fig.colorbar(pcm, ax=ax)

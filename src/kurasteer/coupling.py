@@ -28,6 +28,9 @@ class CouplingParams:
     def __post_init__(self) -> None:
         if not self.D >= 0.0:
             raise ValueError(f"diffusion coefficient D must be >= 0, got {self.D}")
+        for name in ("alpha", "K"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,6 @@ def interaction_coefficient_table(
     return np.multiply(gain, 1j * grid.d_theta * np.exp(1j * (grid.theta + alpha)))
 
 
-def interaction_adjoint_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
-    """Transposed coupling: integral of sin(theta - theta' - alpha) against the
-    sample, which is minus the coupling with lag -alpha."""
-    return -interaction_values(grid, values, -alpha)
-
-
 def interaction_field(q: Field, alpha: float = 0.0) -> Field:
     """Self-generated transport velocity w of the density (or any sample).
 
@@ -121,5 +118,9 @@ def interaction_field(q: Field, alpha: float = 0.0) -> Field:
 
 
 def interaction_field_adjoint(g: Field, alpha: float = 0.0) -> Field:
-    """Adjoint coupling w*: satisfies <w[f], g> = <w*[g], f> for all f, g."""
-    return Field(g.grid, interaction_adjoint_values(g.grid, g.values, alpha))
+    """Adjoint coupling w*: satisfies <w[f], g> = <w*[g], f> for all f, g.
+
+    The transposed kernel sin(theta - theta' - alpha) is minus the kernel
+    with lag -alpha, so w* is minus the coupling with lag -alpha.
+    """
+    return Field(g.grid, -interaction_values(g.grid, g.values, -alpha))

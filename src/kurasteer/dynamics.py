@@ -17,15 +17,17 @@ nonstiff because the coupling velocity w is bounded by the density mass. The
 adjoint runs the mirrored scheme in reversed time, reusing stored state rows
 at the exact stage times. What does not depend on the stepped field (the
 products of control, state and target histories, the coupling tables, the
-scalar and mode factors) is computed once per solve, and absent controls
-stay scalars. The state's coupling velocity lives in Fourier modes +-1, so
-each stage reads it off mode 1 of the coefficients the stepper already holds,
-and every FFT writes into a buffer made once per solve or into the stored row
-it fills. The state solver also takes a stack of control histories and
-integrates them together. Given the stack one row at a time instead, it
-keeps no history: each new state row goes to a consumer and is overwritten
-by the next, which is how gradient_check scores all of its finite-difference
-probes in one solve.
+scalar and mode factors) is computed once per solve. The state solver keeps
+an absent control a scalar (an explicit K history costs it about 9 % per
+solve); the adjoint reads every control as a history, an absent one as a
+view of its baseline row. The state's coupling velocity lives in Fourier
+modes +-1, so each stage reads it off mode 1 of the coefficients the stepper
+already holds, and every FFT writes into a buffer made once per solve or
+into the stored row it fills. The state solver also takes a stack of control
+histories and integrates them together. Given the stack one row at a time
+instead, it keeps no history: each new state row goes to a consumer and is
+overwritten by the next, which is how gradient_check scores all of its
+finite-difference probes in one solve.
 """
 
 from __future__ import annotations
@@ -235,24 +237,17 @@ class ControlSet:
     def get(self, name: str) -> Trajectory | None:
         return getattr(self, name)
 
-    def value(
-        self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
-    ) -> FloatArray | float:
-        """(n_t+1, n_theta) history of one control, or its scalar baseline when absent."""
-        traj = self.get(name)
-        if traj is None:
-            return CONTROLS[name].baseline(params)
-        if traj.grid != grid or traj.tgrid != tgrid:
-            raise ValueError(f"control '{name}' is not on the solver grid")
-        return traj.data
-
     def array(
         self, name: str, grid: CircleGrid, tgrid: TimeGrid, params: CouplingParams
     ) -> FloatArray:
         """Concrete (n_t+1, n_theta) history of one control, read-only; an
         absent control's is a view of one baseline row."""
-        value = self.value(name, grid, tgrid, params)
-        return Trajectory.constant(grid, tgrid, value).data if np.ndim(value) == 0 else value
+        traj = self.get(name)
+        if traj is None:
+            return Trajectory.constant(grid, tgrid, CONTROLS[name].baseline(params)).data
+        if traj.grid != grid or traj.tgrid != tgrid:
+            raise ValueError(f"control '{name}' is not on the solver grid")
+        return traj.data
 
 
 def _state_rate(
@@ -315,11 +310,10 @@ def warn_if_negative(data: FloatArray, what: str) -> None:
         )
 
 
-def _peak(u: FloatArray | float, axis: int | tuple[int, ...] = (-2, -1)) -> FloatArray | float:
-    """max|u| over `axis` (each history of a stack, by default), or |u| of a
-    scalar; no |u| history is made, and negation is exact, so the value is
-    the same."""
-    return np.maximum(u.max(axis=axis), -u.min(axis=axis)) if np.ndim(u) else abs(u)
+def _peak(u: FloatArray, axis: int | tuple[int, ...] = (-2, -1)) -> FloatArray:
+    """max|u| over `axis` (each history of a stack, by default); no |u|
+    history is made, and negation is exact, so the value is the same."""
+    return np.maximum(u.max(axis=axis), -u.min(axis=axis))
 
 
 def advective_speed(peaks: dict[str, FloatArray | float], params: CouplingParams) -> FloatArray | float:
@@ -561,8 +555,8 @@ def _adjoint_rate(
     alpha: float,
     q: FloatArray,
     z: FloatArray,
-    u1: FloatArray | float,
-    u2: FloatArray | float,
+    u1: FloatArray,
+    u2: FloatArray,
     alpha_r: float,
     scale: float,
     gains: tuple[ComplexArray | None, ...],
@@ -571,24 +565,21 @@ def _adjoint_rate(
     by the propagator), as rfft coefficients and as sample values.
 
     With dp = d/dtheta p:  (u2*w[q] + u1)*dp + w*[u2*dp*q] + alpha_r*(q - z).
-    q and z are (n_t+1, n_theta) histories, u1 and u2 histories or scalar
-    baselines. What does not depend on p is made one block of rows at a time
-    (see row_blocks), when the backward sweep first reaches the block, and is
-    released when it leaves it, already times `scale`: the speed
-    scale*(u2*w[q] + u1), the carried density u2*q (q itself when u2 is a
-    scalar, which then scales the w* table) and the forcing
-    scale*alpha_r*(q - z). rate(m, dp, c, stage) ignores the coefficients c
-    and returns gains[stage] times the rfft of r (r^ alone for a None gain)
-    and r, with r = scale times the rate at row m; both live in buffers made
-    here.
+    q, z, u1 and u2 are (n_t+1, n_theta) histories; an absent control is a
+    view of its baseline row (see ControlSet.array). What does not depend on
+    p is made one block of rows at a time (see row_blocks), when the backward
+    sweep first reaches the block, and is released when it leaves it: the
+    speed scale*(u2*w[q] + u1), the carried density u2*q and the forcing
+    scale*alpha_r*(q - z); `scale` enters the w* table. rate(m, dp, c, stage)
+    ignores the coefficients c and returns gains[stage] times the rfft of r
+    (r^ alone for a None gain) and r, with r = scale times the rate at row m;
+    both live in buffers made here.
     """
-    fixed = np.ndim(u2) == 0
-    weight = scale * u2 if fixed else scale
     # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s)
     # of g, the dot products of the row g with the moment basis times d_theta
     basis = grid.moment_basis
     cos_a, sin_a = lagged_basis(grid, -alpha)
-    lagged = (weight * grid.d_theta) * np.stack((sin_a, -cos_a))
+    lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
     blocks = row_blocks(len(q))
     held = None  # (first row, speed, carried, forcing) of the block being swept
     g, r = np.empty((2, grid.n_theta))
@@ -597,14 +588,14 @@ def _adjoint_rate(
     def block_terms(rows: slice) -> tuple[int, FloatArray, FloatArray, FloatArray | None]:
         qb = q[rows]
         speed = interaction_values(grid, qb, alpha)
-        speed *= u2 if fixed else u2[rows]
-        speed += u1 if np.ndim(u1) == 0 else u1[rows]
+        speed *= u2[rows]
+        speed += u1[rows]
         speed *= scale
         forcing = None
         if alpha_r != 0.0:
             forcing = qb - z[rows]
             forcing *= scale * alpha_r
-        return rows.start, speed, qb if fixed else u2[rows] * qb, forcing
+        return rows.start, speed, u2[rows] * qb, forcing
 
     def rate(m: int, dp: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, FloatArray]:
         nonlocal held
@@ -646,7 +637,7 @@ def solve_adjoint(
         raise ValueError("target trajectory is not on the state grid")
     alpha_r, alpha_t = weights
 
-    u1, u2 = (controls.value(name, grid, tgrid, params) for name in ("u1", "u2"))
+    u1, u2 = (controls.array(name, grid, tgrid, params) for name in ("u1", "u2"))
     qd, zd = q_traj.data, z_traj.data
     dt = tgrid.dt
     prop = grid.heat_multiplier(params.D, dt)

@@ -63,22 +63,10 @@ class CircleGrid:
         return th
 
     @cached_property
-    def cos_theta(self) -> FloatArray:
-        c = np.cos(self.theta)
-        c.setflags(write=False)
-        return c
-
-    @cached_property
-    def sin_theta(self) -> FloatArray:
-        s = np.sin(self.theta)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
     def moment_basis(self) -> FloatArray:
         """(2, n_theta) rows cos(theta), sin(theta): the first circular moments
         of a sample are its dot products with them, times d_theta."""
-        b = np.stack((self.cos_theta, self.sin_theta))
+        b = np.stack((np.cos(self.theta), np.sin(self.theta)))
         b.setflags(write=False)
         return b
 

@@ -233,12 +233,6 @@ def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> Floa
     return np.full(arr.shape, c)
 
 
-def _control_set(active: dict[str, FloatArray], grid: CircleGrid, tgrid: TimeGrid) -> ControlSet:
-    return ControlSet(
-        **{name: Trajectory(grid, tgrid, arr) for name, arr in active.items()}
-    )
-
-
 def _advective_caps(problem: OcpProblem) -> dict[str, float]:
     """Pointwise bounds keeping optimized advective controls CFL-integrable.
 
@@ -277,7 +271,7 @@ def _evaluate(
     ResolutionWarning is silenced: line-search trials are allowed to dip
     negative.
     """
-    cs = _control_set(u, problem.grid, problem.tgrid)
+    cs = ControlSet(**{name: Trajectory(problem.grid, problem.tgrid, arr) for name, arr in u.items()})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         q = solve_state(problem.q0, cs, problem.params, problem.tgrid)
@@ -566,8 +560,7 @@ def optimize(problem: OcpProblem) -> OptResult:
 @dataclass(frozen=True)
 class DirectionCheck:
     adjoint_value: float
-    eps: tuple[float, ...]
-    rel_errors: tuple[float, ...]
+    rel_errors: tuple[float, ...]  # one per step of EPS_SWEEP
     min_rel_error: float
     eps_at_min: float
 
@@ -669,7 +662,6 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
         checks.append(
             DirectionCheck(
                 adjoint_value=g_adj,
-                eps=tuple(float(e) for e in EPS_SWEEP),
                 rel_errors=tuple(float(r) for r in rel_arr),
                 min_rel_error=float(rel_arr[imin]),
                 eps_at_min=float(EPS_SWEEP[imin]),

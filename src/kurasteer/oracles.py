@@ -137,14 +137,10 @@ class ParticleEnsemble:
         return cls(thetas=thetas, rng_seed=rng_seed)
 
 
-def moment_interaction_drift(thetas: FloatArray, alpha: float = 0.0) -> FloatArray:
-    """(1/N) sum_j sin(theta_j - theta_i - alpha) in O(N) via the first moment."""
-    return _moment_and_drift(thetas, alpha)[1]
-
-
-def _moment_and_drift(thetas: FloatArray, alpha: float) -> tuple[complex, FloatArray]:
-    """The first moment z = mean(exp(i theta)) and moment_interaction_drift
-    from it: R sin(psi - theta_i - alpha) with z = R exp(i psi)."""
+def moment_interaction_drift(thetas: FloatArray, alpha: float) -> tuple[complex, FloatArray]:
+    """The first moment z = mean(exp(i theta)) and, from it in O(N), the drift
+    (1/N) sum_j sin(theta_j - theta_i - alpha) = R sin(psi - theta_i - alpha)
+    with z = R exp(i psi)."""
     z = np.exp(1j * thetas).mean()
     return z, np.abs(z) * np.sin(np.angle(z) - thetas - alpha)
 
@@ -192,7 +188,7 @@ def simulate_particles(
     R = np.empty(tgrid.n_t + 1)
     psi = np.empty(tgrid.n_t + 1)
     for k in range(tgrid.n_t + 1):
-        z, coupling = _moment_and_drift(th, params.alpha)
+        z, coupling = moment_interaction_drift(th, params.alpha)
         R[k], psi[k] = np.abs(z), np.angle(z) % TWO_PI
         if k == tgrid.n_t:
             break

@@ -59,10 +59,17 @@ def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float) -> np.n
     return acc / (sigma * np.sqrt(TWO_PI))
 
 
-def _reject_unused(spec: dict, keys: set[str], what: str) -> None:
-    unused = sorted(set(spec) - keys)
+def _check_keys(spec: object, keys: tuple[str, ...], key: str) -> None:
+    """The spec at config key `key` must be a JSON object that holds each of
+    `keys` and no other."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{key} must be a JSON object, got {spec!r}")
+    unused = sorted(set(spec) - set(keys))
     if unused:
-        raise ValueError(f"{what} does not use {', '.join(map(repr, unused))}")
+        raise ValueError(f"{key} does not use {', '.join(map(repr, unused))}")
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise ValueError(f"{key}.{missing[0]} is required")
 
 
 @dataclass(frozen=True)
@@ -86,14 +93,16 @@ class DensitySpec:
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in KIND_KEYS:
             raise ValueError(f"unknown density kind {kind!r}")
-        _reject_unused(d, {"kind", *KIND_KEYS[kind]}, f"density kind {kind!r}")
+        _check_keys(d, ("kind", *KIND_KEYS[kind]), key)
         if kind == "uniform":
             return cls(kind="uniform")
         if kind == "wrapped_gaussian":
             return cls(kind=kind, **{k: cast_setting(f"{key}.{k}", d[k], 0.0) for k in KIND_KEYS[kind]})
         if kind == "mixture":
-            for c in d["components"]:
-                _reject_unused(c, set(COMPONENT_KEYS), "a mixture component")
+            if not isinstance(d["components"], list):
+                raise ValueError(f"{key}.components must be a list of JSON objects, got {d['components']!r}")
+            for i, c in enumerate(d["components"]):
+                _check_keys(c, COMPONENT_KEYS, f"{key}.components[{i}]")
             comps = tuple(
                 tuple(cast_setting(f"{key}.components[{i}].{k}", c[k], 0.0) for k in COMPONENT_KEYS)
                 for i, c in enumerate(d["components"])
@@ -101,7 +110,7 @@ class DensitySpec:
             if not comps:
                 raise ValueError("mixture needs at least one component")
             return cls(kind=kind, components=comps)
-        return cls(kind=kind, path=str(d["path"]))
+        return cls(kind=kind, path=cast_setting(f"{key}.path", d["path"], ""))
 
     def build(self, grid: CircleGrid) -> Field:
         if self.kind == "uniform":

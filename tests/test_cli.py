@@ -123,6 +123,15 @@ class TestConfig:
             ('scenario.q0={"kind":"wrapped_gaussian","mean":NaN,"sigma":0.8}', "scenario.q0.mean"),
             ('scenario.target={"kind":"mixture","components":[{"weight":1,"mean":1.0,"sigma":"0.3"}]}',
              "scenario.target.components[0].sigma"),
+            # each key of a density kind is required, and named when missing
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":1.0}', "scenario.q0.sigma"),
+            ('scenario.target={"kind":"mixture","components":[{"weight":1.0,"mean":1.0}]}',
+             "scenario.target.components[0].sigma"),
+            ('scenario.q0={"kind":"from_file"}', "scenario.q0.path"),
+            ('scenario.q0={"kind":"from_file","path":5}', "scenario.q0.path"),
+            # components is a list of JSON objects
+            ('scenario.target={"kind":"mixture","components":"abc"}', "scenario.target.components"),
+            ('scenario.target={"kind":"mixture","components":[1.0]}', "scenario.target.components[0]"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -429,3 +438,42 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
     assert result["oracle_loads"]
+
+
+class TestPlotScript:
+    """scripts/plot_run.py, run with stub matplotlib modules (the figures are
+    MagicMocks), reads the fields through kurasteer.outputs.read_field_file."""
+
+    SCRIPT = Path(__file__).parents[1] / "scripts" / "plot_run.py"
+
+    @pytest.fixture
+    def run_script(self, monkeypatch, capsys):
+        from unittest import mock
+
+        pyplot = mock.MagicMock()
+        pyplot.subplots.side_effect = lambda *a, **kw: (mock.MagicMock(), mock.MagicMock())
+        monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=pyplot))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+        def run(out):
+            import runpy
+
+            monkeypatch.setattr(sys, "argv", ["plot_run.py", str(out), "--save", str(out / "figures")])
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+            return capsys.readouterr().out
+
+        return run
+
+    def test_plots_a_simulate_run(self, tmp_path, run_script):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), *FAST]) == 0
+        assert "figures written" in run_script(out)
+
+    def test_short_field_file_names_the_file_and_counts(self, tmp_path, run_script):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), *FAST]) == 0
+        state = out / "state.f64"
+        n = state.stat().st_size // 8
+        state.write_bytes(state.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=rf"state\.f64 holds {n - 1} samples, expected {n}"):
+            run_script(out)

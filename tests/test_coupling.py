@@ -11,7 +11,7 @@ from kurasteer import (
     interaction_field_adjoint,
     order_parameter,
 )
-from kurasteer.coupling import interaction_adjoint_values, interaction_coefficient_table, interaction_values
+from kurasteer.coupling import interaction_coefficient_table, interaction_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_adjoint_quadrature, interaction_field_quadrature
 from kurasteer.scenarios import DensitySpec
@@ -147,7 +147,7 @@ class TestInteractionField:
 class TestStackedRows:
     """The coupling helpers act row by row on stacks of any depth."""
 
-    @pytest.mark.parametrize("helper", [interaction_values, interaction_adjoint_values])
+    @pytest.mark.parametrize("helper", [interaction_values])
     @pytest.mark.parametrize("stack_shape", [(3,), (16,), (2, 3)])
     def test_matches_row_by_row(self, rng, helper, stack_shape):
         grid = CircleGrid(16)

@@ -99,9 +99,12 @@ class TestWeightsAndConfig:
             lambda: CostWeights(beta1=np.nan),
             lambda: TimeGrid(np.nan, 10),
             lambda: CouplingParams(D=np.nan),
+            lambda: CouplingParams(K=np.nan),
+            lambda: CouplingParams(alpha=np.inf),
             lambda: OptimizerConfig(grad_tol=np.nan),
         ],
-        ids=["CostWeights.beta1", "TimeGrid.T", "CouplingParams.D", "OptimizerConfig.grad_tol"],
+        ids=["CostWeights.beta1", "TimeGrid.T", "CouplingParams.D", "CouplingParams.K", "CouplingParams.alpha",
+             "OptimizerConfig.grad_tol"],
     )
     def test_nan_setting_rejected(self, make):
         with pytest.raises(ValueError):
@@ -364,7 +367,7 @@ class TestGradientCheck:
         report = gradient_check(problem, n_directions=1, seed=2)
         (u_plus, j_plus), (u_minus, j_minus) = batches
         check = report.directions[0]
-        eps = np.asarray(check.eps)
+        eps = optimizer.EPS_SWEEP
         u0 = _baseline_arrays(problem)
         for name in u0:
             assert np.array_equal(u_plus[name] - u0[name], u0[name] - u_minus[name])

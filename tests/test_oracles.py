@@ -117,7 +117,7 @@ class TestInteractionDrift:
     def test_moment_trick_equals_pairwise(self, N, rng):
         thetas = rng.uniform(0, 2 * np.pi, N)
         alpha = rng.uniform(0, 2 * np.pi)
-        fast = moment_interaction_drift(thetas, alpha)
+        _, fast = moment_interaction_drift(thetas, alpha)
         slow = pairwise_interaction_drift(thetas, alpha)
         assert np.max(np.abs(fast - slow)) <= 1e-10
 
@@ -184,21 +184,20 @@ class TestSimulateParticles:
 
     def test_swarm_moves_by_the_checked_moment_drift(self, params, monkeypatch):
         # criterion 10 checks moment_interaction_drift against the pairwise
-        # sum; the swarm's coupling is the drift of _moment_and_drift, which
-        # that function returns: doubling it moves the swarm exactly as
-        # doubling K does
+        # sum, and the swarm moves by its drift: doubling that drift moves
+        # the swarm exactly as doubling K does
         tg = TimeGrid(1.0, 100)
         q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(CircleGrid(64))
         ens = ParticleEnsemble.from_density(q0, 200, 5)
         R, _ = simulate_particles(ens, None, params, tg)
         R_strong, _ = simulate_particles(ens, None, CouplingParams(D=params.D, K=2.0 * params.K), tg)
-        exact = oracles._moment_and_drift
+        exact = oracles.moment_interaction_drift
 
         def doubled(thetas, alpha):
             z, drift = exact(thetas, alpha)
             return z, 2.0 * drift
 
-        monkeypatch.setattr(oracles, "_moment_and_drift", doubled)
+        monkeypatch.setattr(oracles, "moment_interaction_drift", doubled)
         R_doubled, _ = simulate_particles(ens, None, params, tg)
         assert not np.array_equal(R_doubled, R)
         assert np.array_equal(R_doubled, R_strong)
