@@ -8,7 +8,6 @@ controls, an Armijo descent loop, and independent validation oracles.
 from .coupling import (
     CouplingParams,
     PolarOrder,
-    circular_moments,
     interaction_field,
     interaction_field_adjoint,
     order_parameter,
@@ -75,7 +74,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "bessel_ratio",
-    "circular_moments",
     "cost",
     "ddtheta",
     "gradient_check",

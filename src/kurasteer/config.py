@@ -149,7 +149,8 @@ class RunConfig:
         return Trajectory.from_field(self.target_field, self.tgrid)
 
     def initial_controls(self) -> ControlSet:
-        """Optional initial-control files plus a seeded random perturbation."""
+        """Optional initial-control files plus a seeded random perturbation, for
+        the controls that have either; ControlSet gives the others baselines."""
         ic = self.raw["initial_controls"]
         for name in CONTROLS:
             if ic[f"{name}_file"] and name not in self.mode.active_controls:
@@ -160,21 +161,21 @@ class RunConfig:
         scale = cast_setting("initial_controls.perturbation_scale", ic["perturbation_scale"], 0.0)
         if scale < 0.0:
             raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
-        # a control is its file's array or one baseline row repeated in time; the
-        # perturbation (one row) goes in place into a file's array, else a new row
         shape = (self.tgrid.n_t + 1, self.grid.n_theta)
         arrays: dict[str, np.ndarray] = {}
         for name in self.mode.active_controls:
             path = ic[f"{name}_file"]
             if path:
-                arrays[name] = read_samples(path, shape[0] * shape[1]).reshape(shape)
-            else:
-                arrays[name] = Field.constant(self.grid, CONTROLS[name].baseline(self.params)).values
+                arrays[name] = read_samples(path, shape[0] * shape[1], f"initial_controls.{name}_file").reshape(shape)
         if scale > 0.0:
+            # numpy.random loads on first use (about 6 MiB of RSS), so only here;
+            # the perturbation (one row) goes in place into a file's array, else
+            # it is added to the baseline as a new row
             rng = np.random.default_rng(self.seed)
-            for name, arr in arrays.items():
+            for name in self.mode.active_controls:
                 bump = random_bandlimited(self.grid, rng, scale=scale).values
-                arrays[name] = np.add(arr, bump, out=arr if arr.ndim == 2 else None)
+                start = arrays.get(name, CONTROLS[name].baseline(self.params))
+                arrays[name] = np.add(start, bump, out=arrays.get(name))
         return ControlSet(
             **{name: Trajectory(self.grid, self.tgrid, np.broadcast_to(arr, shape)) for name, arr in arrays.items()}
         )

@@ -53,9 +53,12 @@ def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, Fl
     return m[..., 0], m[..., 1]
 
 
-def circular_moments(q: Field) -> tuple[float, float]:
-    """First circular moments (integral of cos*q, integral of sin*q)."""
-    return moments_values(q.grid, q.values)
+def polar_order(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Coherence R = |C_c + i*C_s| and phase psi = arg(C_c + i*C_s) in
+    [0, 2*pi) of one sample row, or of every row of a stack, from the first
+    circular moments."""
+    c_c, c_s = moments_values(grid, values)
+    return np.hypot(c_c, c_s), np.mod(np.arctan2(c_s, c_c), TWO_PI)
 
 
 def order_parameter(q: Field) -> PolarOrder:
@@ -67,8 +70,8 @@ def order_parameter(q: Field) -> PolarOrder:
     mass = q.grid.quad(q.values)
     if abs(mass - 1.0) > MASS_TOL:
         raise ValueError(f"order_parameter needs a normalized density; mass = {mass:.6g}")
-    c_c, c_s = circular_moments(q)
-    return PolarOrder(R=float(np.hypot(c_c, c_s)), psi=float(np.arctan2(c_s, c_c)) % TWO_PI)
+    R, psi = polar_order(q.grid, q.values)
+    return PolarOrder(R=float(R), psi=float(psi))
 
 
 def lagged_basis(grid: CircleGrid, alpha: float) -> tuple[FloatArray, FloatArray]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingParams, moments_values
+from .coupling import CouplingParams, polar_order
 from .dynamics import (
     CFL_SAFETY,
     CONTROLS,
@@ -245,13 +245,9 @@ def _advective_caps(problem: OcpProblem) -> dict[str, float]:
     budget = 0.995 * CFL_SAFETY * problem.grid.d_theta / problem.tgrid.dt
     shares = [n for n in problem.mode.active_controls if CONTROLS[n].advects]
     headroom = budget - advective_speed(dict.fromkeys(shares, 0.0), problem.params)
-    caps = {name: headroom / len(shares) for name in shares}
-    for name, cap in caps.items():
-        if cap <= 0.0:
-            raise CFLError(
-                f"no CFL headroom left for control '{name}'; refine the time grid"
-            )
-    return caps
+    if shares and headroom <= 0.0:
+        raise CFLError(f"no CFL headroom left for control '{shares[0]}'; refine the time grid")
+    return {name: headroom / len(shares) for name in shares}
 
 
 def _baseline_arrays(problem: OcpProblem) -> dict[str, FloatArray]:
@@ -418,13 +414,7 @@ def _polak_ribiere(
 
 def sync_series(traj: Trajectory) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
     """(t, R, psi, mass) along a state trajectory, from the first circular moment."""
-    c_c, c_s = moments_values(traj.grid, traj.data)
-    return (
-        traj.tgrid.times,
-        np.hypot(c_c, c_s),
-        np.mod(np.arctan2(c_s, c_c), TWO_PI),
-        traj.mass(),
-    )
+    return (traj.tgrid.times, *polar_order(traj.grid, traj.data), traj.mass())
 
 
 def optimize(problem: OcpProblem) -> OptResult:
@@ -579,7 +569,10 @@ class DirectionCheck:
 class GradientCheckReport:
     mode: ControlMode
     directions: tuple[DirectionCheck, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(d.passed for d in self.directions)
 
 
 def _smooth_direction(rng: np.random.Generator, grid: CircleGrid, tgrid: TimeGrid) -> FloatArray:
@@ -667,6 +660,4 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
                 eps_at_min=float(EPS_SWEEP[imin]),
             )
         )
-    return GradientCheckReport(
-        mode=mode, directions=tuple(checks), passed=all(c.passed for c in checks)
-    )
+    return GradientCheckReport(mode=mode, directions=tuple(checks))

@@ -153,26 +153,25 @@ def pairwise_interaction_drift(thetas: FloatArray, alpha: float = 0.0) -> FloatA
 
 def simulate_particles(
     ens: ParticleEnsemble,
-    controls: ControlSet | None,
+    controls: ControlSet,
     params: CouplingParams,
     tgrid: TimeGrid,
-    grid: CircleGrid | None = None,
 ) -> tuple[FloatArray, FloatArray]:
     """Euler-Maruyama run of the controlled oscillator swarm.
 
-    Controls are sampled from their PDE-grid histories: linear interpolation
-    in theta, step-constant in time. Only controls that advect move
+    Controls are sampled from their PDE-grid histories, on the grid of the
+    first: linear interpolation in theta, step-constant in time; with none,
+    the swarm moves at the scalar baselines. Only controls that advect move
     particles; any other control raises ValueError. Noise increments are
     N(0, 2*D*dt), so the empirical density diffuses with coefficient D.
     Returns the discrete order parameter series (R_N(t_k), psi_N(t_k)).
     """
-    given = [] if controls is None else [n for n in CONTROLS if controls.get(n) is not None]
+    given = [n for n in CONTROLS if controls.get(n) is not None]
     for name in given:
         if not CONTROLS[name].advects:
             raise ValueError(f"control '{name}' does not advect; the particle model cannot apply it")
     if given:
-        if grid is None:
-            raise ValueError("grid is required to sample control histories")
+        grid = controls.get(given[0]).grid
         u1a, u2a = (controls.array(name, grid, tgrid, params) for name in ("u1", "u2"))
         theta_nodes = np.append(grid.theta, TWO_PI)
 

@@ -67,7 +67,7 @@ def read_field_file(path: Path) -> tuple[dict, np.ndarray]:
     with open(path.with_suffix(path.suffix + ".json")) as fh:
         header = json.load(fh)
     shape = (header["n_t"] + 1, header["n_theta"])
-    return header, read_samples(path, shape[0] * shape[1]).reshape(shape)
+    return header, read_samples(path, shape[0] * shape[1], header["field"]).reshape(shape)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -41,9 +41,13 @@ def cast_setting(key: str, value: object, default: object):
     return cast
 
 
-def read_samples(path: str | Path, count: int) -> np.ndarray:
-    """The little-endian float64 samples of a raw file, which must hold `count`."""
-    values = np.fromfile(path, dtype="<f8")
+def read_samples(path: str | Path, count: int, key: str) -> np.ndarray:
+    """The little-endian float64 samples of a raw file, which must hold
+    `count`; a read error names `key`, the setting that named the file."""
+    try:
+        values = np.fromfile(path, dtype="<f8")
+    except OSError as exc:
+        raise ValueError(f"{key}: cannot read {str(path)!r}: {exc.strerror or exc}") from None
     if values.size != count:
         raise ValueError(f"{path} holds {values.size} samples, expected {count} (little-endian float64)")
     return values
@@ -85,6 +89,7 @@ class DensitySpec:
     sigma: float = 0.4
     components: tuple[tuple[float, float, float], ...] = ()  # (weight, mean, sigma)
     path: str = ""
+    key: str = "density"  # the config key of the spec, which errors name
 
     @classmethod
     def from_dict(cls, d: dict, key: str) -> "DensitySpec":
@@ -110,7 +115,7 @@ class DensitySpec:
             if not comps:
                 raise ValueError("mixture needs at least one component")
             return cls(kind=kind, components=comps)
-        return cls(kind=kind, path=cast_setting(f"{key}.path", d["path"], ""))
+        return cls(kind=kind, path=cast_setting(f"{key}.path", d["path"], ""), key=key)
 
     def build(self, grid: CircleGrid) -> Field:
         if self.kind == "uniform":
@@ -127,7 +132,7 @@ class DensitySpec:
                     raise ValueError("mixture weights must be nonnegative")
                 raw += (w / total) * wrapped_gaussian_values(grid, mu, sig)
         elif self.kind == "from_file":
-            raw = read_samples(self.path, grid.n_theta)
+            raw = read_samples(self.path, grid.n_theta, f"{self.key}.path")
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
 

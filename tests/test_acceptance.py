@@ -298,7 +298,7 @@ def test_criterion_10_microscopic_cross_validation(scenario, baseline_run):
     sups = []
     for seed in range(8):
         ens = ParticleEnsemble.from_density(q0, 2000, rng_seed=seed)
-        R_N, _ = simulate_particles(ens, None, params, tgrid)
+        R_N, _ = simulate_particles(ens, ControlSet(), params, tgrid)
         sups.append(float(np.max(np.abs(R_N - R_pde))))
     mean_sup = float(np.mean(sups))
 

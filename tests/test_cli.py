@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -132,6 +133,9 @@ class TestConfig:
             # components is a list of JSON objects
             ('scenario.target={"kind":"mixture","components":"abc"}', "scenario.target.components"),
             ('scenario.target={"kind":"mixture","components":[1.0]}', "scenario.target.components[0]"),
+            # a density file that cannot be read names its setting
+            ('scenario.q0={"kind":"from_file","path":""}', "scenario.q0.path"),
+            ('scenario.target={"kind":"from_file","path":"/nonexistent/q.f64"}', "scenario.target.path"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -160,6 +164,30 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert str(path) in err and "17 samples" in err and f"expected {101 * 32}" in err
+
+    @pytest.mark.parametrize(
+        "name, reason", [("missing.f64", "No such file"), ("", "Is a directory")], ids=["missing", "directory"]
+    )
+    def test_unreadable_control_file_hard_error(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        args = ["--set", f"initial_controls.u1_file={path}"]
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "initial_controls.u1_file" in err and str(path) in err and reason in err
+
+    def test_initial_controls_leave_baselines_to_control_set(self):
+        assert RunConfig.from_dict(load_config()).initial_controls() == ControlSet()
+
+    def test_perturbation_without_file_is_added_to_baseline(self):
+        seed, scale, K = 1, 0.3, 1.3
+        runcfg = RunConfig.from_dict(load_config(None, [
+            "discretization.n_theta=64", "discretization.n_t=200", "mode=interaction",
+            f"physics.K={K}", f"initial_controls.perturbation_scale={scale}",
+        ], None, seed))
+        u2 = runcfg.initial_controls().u2.data
+        bump = random_bandlimited(runcfg.grid, np.random.default_rng(seed), scale=scale).values
+        assert np.array_equal(u2, np.broadcast_to(K + bump, u2.shape))
 
     def test_control_file_read_once(self, tmp_path, traced_peak):
         # the file's one array, perturbed in place and adopted read-only
@@ -477,3 +505,11 @@ class TestPlotScript:
         state.write_bytes(state.read_bytes()[:-8])
         with pytest.raises(ValueError, match=rf"state\.f64 holds {n - 1} samples, expected {n}"):
             run_script(out)
+
+
+class TestPackage:
+    def test_all_lists_every_public_name(self):
+        # __init__ names each export twice, imported and in __all__: neither list may drift
+        public = {n for n, v in vars(kurasteer).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+        assert set(kurasteer.__all__) == public
+        assert len(kurasteer.__all__) == len(public)

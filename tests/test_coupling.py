@@ -3,15 +3,18 @@ import pytest
 
 from kurasteer import (
     CircleGrid,
+    ControlSet,
     CouplingParams,
     Field,
-    circular_moments,
+    TimeGrid,
     integrate,
     interaction_field,
     interaction_field_adjoint,
     order_parameter,
+    solve_state,
+    sync_series,
 )
-from kurasteer.coupling import interaction_coefficient_table, interaction_values
+from kurasteer.coupling import interaction_coefficient_table, interaction_values, moments_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import interaction_adjoint_quadrature, interaction_field_quadrature
 from kurasteer.scenarios import DensitySpec
@@ -28,18 +31,18 @@ class TestCouplingParams:
 
 class TestMoments:
     def test_uniform(self, grid):
-        c_c, c_s = circular_moments(Field.constant(grid, 1 / (2 * np.pi)))
+        c_c, c_s = moments_values(grid, Field.constant(grid, 1 / (2 * np.pi)).values)
         assert abs(c_c) <= 1e-14 and abs(c_s) <= 1e-14
 
     def test_cosine_density(self, cosine_density):
         # oracle: dense quadrature of cos(t)*(1+cos t)/2pi gives exactly 1/2
-        c_c, c_s = circular_moments(cosine_density)
+        c_c, c_s = moments_values(cosine_density.grid, cosine_density.values)
         assert c_c == pytest.approx(0.5, abs=1e-12)
         assert abs(c_s) <= 1e-14
 
     def test_narrow_gaussian_delta_limit(self, grid):
         q = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.05).build(grid)
-        c_c, c_s = circular_moments(q)
+        c_c, c_s = moments_values(grid, q.values)
         assert abs(c_c) <= 2e-3
         assert c_s == pytest.approx(1.0, abs=2e-3)
 
@@ -74,6 +77,17 @@ class TestOrderParameter:
             a, b = order_parameter(q), order_parameter(shifted)
             assert b.R == pytest.approx(a.R, abs=1e-10)
             assert (b.psi - a.psi) % (2 * np.pi) == pytest.approx(delta, abs=1e-10)
+
+    def test_sync_series_is_order_parameter_of_every_row(self, coarse_grid):
+        # the series that timeseries.csv and summary.json report and the
+        # one-density order parameter come from the same polar_order
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.3)
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=1.0, sigma=0.6).build(coarse_grid)
+        traj = solve_state(q0, ControlSet(), params, TimeGrid(1.0, 200))
+        _, R, psi, _ = sync_series(traj)
+        rows = [order_parameter(Field(coarse_grid, row)) for row in traj.data]
+        assert np.array_equal(R, [op.R for op in rows])
+        assert np.array_equal(psi, [op.psi for op in rows])
 
 
 class TestInteractionField:

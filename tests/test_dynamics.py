@@ -354,7 +354,7 @@ class TestAdjointRowBlocks:
     straddling the block, at a phase lag."""
 
     @pytest.mark.parametrize("n_rows", [101, ROW_BLOCK, ROW_BLOCK + 1, 601])
-    @pytest.mark.parametrize("u2_history", [False, True], ids=["scalar_u2", "u2_history"])
+    @pytest.mark.parametrize("u2_history", [False, True], ids=["absent_u2", "u2_history"])
     def test_matches_whole_history_terms(self, n_rows, u2_history, monkeypatch):
         grid, tg = CircleGrid(16), TimeGrid(1.0, n_rows - 1)
         params = CouplingParams(alpha=0.5, D=0.25, K=1.0)

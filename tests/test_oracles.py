@@ -128,14 +128,14 @@ class TestSimulateParticles:
         params = CouplingParams(D=0.0, K=0.0)
         tg = TimeGrid(1.0, 50)
         ens = ParticleEnsemble(thetas=np.linspace(0, 5, 16), rng_seed=0)
-        R, _ = simulate_particles(ens, None, params, tg)
+        R, _ = simulate_particles(ens, ControlSet(), params, tg)
         assert np.max(np.abs(R - R[0])) <= 1e-12
 
     def test_synchronized_cluster_stays_locked(self):
         params = CouplingParams(D=0.0, K=1.0, alpha=0.0)
         tg = TimeGrid(1.0, 50)
         ens = ParticleEnsemble(thetas=np.full(32, 1.3), rng_seed=0)
-        R, psi = simulate_particles(ens, None, params, tg)
+        R, psi = simulate_particles(ens, ControlSet(), params, tg)
         assert np.all(np.abs(R - 1.0) <= 1e-12)
         assert np.all(np.abs(psi - 1.3) <= 1e-10)
 
@@ -149,7 +149,7 @@ class TestSimulateParticles:
 
         theta0 = np.pi / 2
         ens = ParticleEnsemble(thetas=np.full(2, theta0), rng_seed=0)
-        _, psi = simulate_particles(ens, controls, params, tg, grid=grid)
+        _, psi = simulate_particles(ens, controls, params, tg)
 
         q0 = DensitySpec(kind="wrapped_gaussian", mean=theta0, sigma=0.25).build(grid)
         traj = solve_state(q0, controls, params, tg)
@@ -162,8 +162,19 @@ class TestSimulateParticles:
         traj = solve_state(q0, ControlSet(), params, tg)
         _, R_pde, _, _ = sync_series(traj)
         ens = ParticleEnsemble.from_density(q0, 2000, rng_seed=3)
-        R_N, _ = simulate_particles(ens, None, params, tg)
+        R_N, _ = simulate_particles(ens, ControlSet(), params, tg)
         assert np.max(np.abs(R_N - R_pde)) <= 0.05
+
+    def test_baseline_history_equals_no_history(self):
+        # the swarm samples a history on that history's own grid; an explicit
+        # baseline u2 = K moves it exactly as the scalar baseline does
+        grid, tg = CircleGrid(64), TimeGrid(1.0, 200)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.3)
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
+        ens = ParticleEnsemble.from_density(q0, 500, rng_seed=2)
+        explicit = simulate_particles(ens, ControlSet(u2=Trajectory.constant(grid, tg, params.K)), params, tg)
+        absent = simulate_particles(ens, ControlSet(), params, tg)
+        assert np.array_equal(explicit[0], absent[0]) and np.array_equal(explicit[1], absent[1])
 
     def test_non_advecting_control_rejected(self):
         # the swarm has no birth/death process: an additive source cannot act
@@ -173,13 +184,13 @@ class TestSimulateParticles:
         q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
         ens = ParticleEnsemble.from_density(q0, 500, rng_seed=0)
         with pytest.raises(ValueError, match="source"):
-            simulate_particles(ens, controls, CouplingParams(), tg, grid=grid)
+            simulate_particles(ens, controls, CouplingParams(), tg)
 
     def test_deterministic_given_seed(self, params):
         tg = TimeGrid(1.0, 100)
         q0 = DensitySpec(kind="uniform").build(CircleGrid(64))
-        a = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), None, params, tg)
-        b = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), None, params, tg)
+        a = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), ControlSet(), params, tg)
+        b = simulate_particles(ParticleEnsemble.from_density(q0, 200, 5), ControlSet(), params, tg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_swarm_moves_by_the_checked_moment_drift(self, params, monkeypatch):
@@ -189,8 +200,8 @@ class TestSimulateParticles:
         tg = TimeGrid(1.0, 100)
         q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(CircleGrid(64))
         ens = ParticleEnsemble.from_density(q0, 200, 5)
-        R, _ = simulate_particles(ens, None, params, tg)
-        R_strong, _ = simulate_particles(ens, None, CouplingParams(D=params.D, K=2.0 * params.K), tg)
+        R, _ = simulate_particles(ens, ControlSet(), params, tg)
+        R_strong, _ = simulate_particles(ens, ControlSet(), CouplingParams(D=params.D, K=2.0 * params.K), tg)
         exact = oracles.moment_interaction_drift
 
         def doubled(thetas, alpha):
@@ -198,6 +209,6 @@ class TestSimulateParticles:
             return z, 2.0 * drift
 
         monkeypatch.setattr(oracles, "moment_interaction_drift", doubled)
-        R_doubled, _ = simulate_particles(ens, None, params, tg)
+        R_doubled, _ = simulate_particles(ens, ControlSet(), params, tg)
         assert not np.array_equal(R_doubled, R)
         assert np.array_equal(R_doubled, R_strong)
