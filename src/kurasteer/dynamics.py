@@ -22,8 +22,12 @@ an absent control a scalar (an explicit K history costs it about 9 % per
 solve); the adjoint reads every control as a history, an absent one as a
 view of its baseline row. The state's coupling velocity lives in Fourier
 modes +-1, so each stage reads it off mode 1 of the coefficients the stepper
-already holds, and every FFT writes into a buffer made once per solve or
-into the stored row it fills. The state solver also takes a stack of control
+already holds. A step is only its array calls: each of them writes into a
+buffer made once per solve or into the stored row it fills (a rate writes
+its increment into one the stepper passes; only the adjoint's w* term makes
+small temporaries), and the transforms are the pocketfft gufuncs, bound
+once per solve and called with 0-d factors and positional outputs (see
+grid.transform_kernels). The state solver also takes a stack of control
 histories and integrates them together. Given the stack one row at a time
 instead, it keeps no history: each new state row goes to a consumer and is
 overwritten by the next, which is how gradient_check scores all of its
@@ -39,17 +43,19 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy import add, multiply  # bound by name: a step makes more than a dozen of these calls
 
 from .coupling import CouplingParams, interaction_coefficient_table, interaction_values, lagged_basis
-from .grid import CircleGrid, ComplexArray, Field, FloatArray, irfft, rfft
+from .grid import CircleGrid, ComplexArray, Field, FloatArray, transform_kernels
 
 CFL_SAFETY = 0.5
 POSITIVITY_TOL = 1e-6
 # rows per block in which whole-history temporaries and reductions are made
 ROW_BLOCK = 256
 
-# rate(k, x, c, stage) -> (stage increment as rfft coefficients, its samples or None)
-Rate = Callable[[int, FloatArray, ComplexArray, int], tuple[ComplexArray, FloatArray | None]]
+# rate(k, x, c, stage, out) writes the stage increment's rfft coefficients
+# into out and returns the increment's sample values, or None
+Rate = Callable[[int, FloatArray, ComplexArray, int, ComplexArray], FloatArray | None]
 
 
 class CFLError(ValueError):
@@ -270,31 +276,39 @@ def _state_rate(
     which a scalar u2 is folded; a u2 history scales it by row k instead (a
     complex table of the whole history raised the peak memory of an
     interaction descent at 128 x 2000 by 3.6 MiB).
-    rate(k, q, q^, stage) returns g_f*flux^ + g_s*source^ at row k, with
-    (g_f, g_s) = gains[stage] and one forward transform of the flux (stacked
-    with the source when there is one) into a buffer made here.
+    rate(k, q, q^, stage, out) writes g_f*flux^ + g_s*source^ at row k into
+    out, with (g_f, g_s) = gains[stage] and one forward transform of the flux
+    (stacked with the source when there is one) into a buffer made here, and
+    returns None.
     """
     fixed = np.ndim(u2) == 0
     table = interaction_coefficient_table(grid, alpha, u2 if fixed else 1.0)
+    forward, one = transform_kernels(shape[-1])[:2]
     speed_c = np.empty(shape, dtype=np.complex128)
     speed = speed_c.real
     flux = np.empty(shape if source is None else (2,) + shape)
     flux_hat = np.empty(flux.shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
+    if source is not None:
+        (flux_q, flux_s), (flux_q_hat, flux_s_hat) = flux, flux_hat
 
-    def rate(k: int, q: FloatArray, q_hat: ComplexArray, stage: int) -> tuple[ComplexArray, None]:
-        np.multiply(q_hat[..., 1:2], table, out=speed_c)
+    def rate(k: int, q: FloatArray, q_hat: ComplexArray, stage: int, out: ComplexArray) -> None:
+        multiply(q_hat[..., 1:2], table, speed_c)
         if not fixed:
-            np.multiply(speed, u2[..., k, :], out=speed)
+            multiply(speed, u2[..., k, :], speed)
         if u1 is not None:
-            np.add(speed, u1[..., k, :], out=speed)
+            add(speed, u1[..., k, :], speed)
         flux_gain, source_gain = gains[stage]
         if source is None:
-            np.multiply(speed, q, out=flux)
-            return flux_gain * rfft(flux, flux_hat), None
-        np.multiply(speed, q, out=flux[0])
-        flux[1] = source[..., k, :]
-        rfft(flux, flux_hat)
-        return flux_gain * flux_hat[0] + source_gain * flux_hat[1], None
+            multiply(speed, q, flux)
+            forward(flux, one, flux_hat)
+            multiply(flux_gain, flux_hat, out)
+            return
+        multiply(speed, q, flux_q)
+        np.copyto(flux_s, source[..., k, :])
+        forward(flux, one, flux_hat)
+        multiply(flux_gain, flux_q_hat, out)
+        multiply(source_gain, flux_s_hat, flux_s_hat)
+        add(out, flux_s_hat, out)
 
     return rate
 
@@ -371,12 +385,12 @@ def _lawson_heun(
         pred = P y^ + dt P r1^,    y^ <- (P y^ + pred) / 2 + (dt/2) r2^,
 
     with r1^ the rate at row a on the field and r2^ the rate at row b on
-    pred. rate(k, x, c, stage) takes the stage's sample values x and its
-    field's coefficients c (y^ for stage 0, pred for stage 1) and returns the
-    stage's increment, dt*P*r1^ for stage 0 and (dt/2)*r2^ for stage 1, so
-    that the solver folds every scalar and mode factor into multipliers made
-    once per solve; with `lift` it also returns the stage-1 increment's
-    sample values (else None).
+    pred. rate(k, x, c, stage, out) takes the stage's sample values x and its
+    field's coefficients c (y^ for stage 0, pred for stage 1) and writes the
+    stage's increment, dt*P*r1^ for stage 0 and (dt/2)*r2^ for stage 1, into
+    out, so that the solver folds every scalar and mode factor into
+    multipliers made once per solve; with `lift` it also returns the stage-1
+    increment's sample values (else None).
 
     Without `lift`, x is the field itself and each new row is the inverse
     transform of y^. With `lift` (the adjoint's ik, so that x = dp/dtheta),
@@ -385,7 +399,10 @@ def _lawson_heun(
     with the stage-2 input, plus the increment. Either way a step makes four
     FFT calls, each into an output made once per solve or into the row it
     fills, and a solve one more: the transform of y0, which row rows[0]
-    stores exactly. Returns the rows along the second-to-last axis.
+    stores exactly. Every coefficient of a step (P y^, pred, the halfway
+    sum, the increment, the lifted fields) lives in a buffer made once per
+    solve, and each operation writes into one, so the stepper makes no
+    temporary. Returns the rows along the second-to-last axis.
 
     With `consume`, no row is stored and the solve returns None: every row,
     rows[0] first, goes to consume(k, y) in a buffer that the next step
@@ -396,6 +413,8 @@ def _lawson_heun(
     row in integration order names the step at which the solve went bad.
     """
     n = y0.shape[-1]
+    forward, one, inverse, inv_n = transform_kernels(n)
+    one_half = np.array(0.5)
     data = bad = None
     if consume is None:
         data = np.empty(y0.shape[:-1] + (len(rows), n))
@@ -404,27 +423,37 @@ def _lawson_heun(
         out = np.empty(y0.shape)
         consume(rows[0], y0)
     y = y0
-    y_hat = rfft(y0)
-    x = np.empty(y0.shape)
-    if lift is not None:
-        pair_hat = np.empty((2,) + y_hat.shape, dtype=y_hat.dtype)
+    coef_shape = y0.shape[:-1] + (n // 2 + 1,)
+    y_hat, pred, inc = np.empty((3,) + coef_shape, dtype=np.complex128)
+    # `half` holds P y^, then in place (P y^ + pred) / 2; the adjoint stacks
+    # lift * y^, then lift * pred, with it for one inverse call, and the
+    # inverse's first row is its stage inputs' buffer x
+    if lift is None:
+        half = np.empty(coef_shape, dtype=np.complex128)
+        x = np.empty(y0.shape)
+    else:
+        pair_hat = np.empty((2,) + coef_shape, dtype=np.complex128)
+        lifted, half = pair_hat
         pair = np.empty((2,) + y0.shape)
+        x, h = pair
+    forward(y0, one, y_hat)
     for a, b in zip(rows[:-1], rows[1:]):
         row = out if data is None else data[..., b, :]
-        p_y = prop * y_hat
-        pred = p_y + rate(a, y if lift is None else irfft(lift * y_hat, n, x), y_hat, 0)[0]
+        multiply(prop, y_hat, half)
+        rate(a, y if lift is None else inverse(multiply(lift, y_hat, lifted), inv_n, x), y_hat, 0, inc)
+        add(half, inc, pred)
+        add(half, pred, half)
+        multiply(half, one_half, half)
         if lift is None:
-            half = 0.5 * (p_y + pred)
-            y_hat = half + rate(b, irfft(pred, n, x), pred, 1)[0]
-            y = irfft(y_hat, n, row)
+            rate(b, inverse(pred, inv_n, x), pred, 1, inc)
+            add(half, inc, y_hat)
+            y = inverse(y_hat, inv_n, row)
         else:
-            np.multiply(lift, pred, out=pair_hat[0])
-            half = np.add(p_y, pred, out=pair_hat[1])
-            half *= 0.5
-            x2, h = irfft(pair_hat, n, pair)
-            inc_hat, inc = rate(b, x2, pred, 1)
-            y_hat = half + inc_hat
-            np.add(h, inc, out=row)
+            multiply(lift, pred, lifted)
+            inverse(pair_hat, inv_n, pair)
+            inc_x = rate(b, x, pred, 1, inc)
+            add(half, inc, y_hat)
+            add(h, inc_x, row)
         if consume is not None and not consume(b, row) and bad is None:
             bad = b
     if data is not None:
@@ -509,9 +538,9 @@ def _solve_states(
         drift = 0.0
         row_rate = rate
 
-        def rate(k: int, q: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, None]:
+        def rate(k: int, q: FloatArray, c: ComplexArray, stage: int, out: ComplexArray) -> None:
             at(k)
-            return row_rate(k, q, c, stage)
+            row_rate(k, q, c, stage, out)
 
         def take(k: int, q: FloatArray) -> bool:
             nonlocal drift
@@ -570,10 +599,10 @@ def _adjoint_rate(
     p is made one block of rows at a time (see row_blocks), when the backward
     sweep first reaches the block, and is released when it leaves it: the
     speed scale*(u2*w[q] + u1), the carried density u2*q and the forcing
-    scale*alpha_r*(q - z); `scale` enters the w* table. rate(m, dp, c, stage)
-    ignores the coefficients c and returns gains[stage] times the rfft of r
-    (r^ alone for a None gain) and r, with r = scale times the rate at row m;
-    both live in buffers made here.
+    scale*alpha_r*(q - z); `scale` enters the w* table. rate(m, dp, c, stage,
+    out) ignores the coefficients c, writes gains[stage] times the rfft of r
+    (r^ alone for a None gain) into out and returns r, with r = scale times
+    the rate at row m, in a buffer made here.
     """
     # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s)
     # of g, the dot products of the row g with the moment basis times d_theta
@@ -582,8 +611,8 @@ def _adjoint_rate(
     lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
     blocks = row_blocks(len(q))
     held = None  # (first row, speed, carried, forcing) of the block being swept
+    forward, one = transform_kernels(grid.n_theta)[:2]
     g, r = np.empty((2, grid.n_theta))
-    r_hat = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
 
     def block_terms(rows: slice) -> tuple[int, FloatArray, FloatArray, FloatArray | None]:
         qb = q[rows]
@@ -597,21 +626,23 @@ def _adjoint_rate(
             forcing *= scale * alpha_r
         return rows.start, speed, u2[rows] * qb, forcing
 
-    def rate(m: int, dp: FloatArray, c: ComplexArray, stage: int) -> tuple[ComplexArray, FloatArray]:
+    def rate(m: int, dp: FloatArray, c: ComplexArray, stage: int, out: ComplexArray) -> FloatArray:
         nonlocal held
         if held is None or m < held[0]:
             held = None  # the swept block is not read again
             held = block_terms(blocks[m // ROW_BLOCK])
         start, speed, carried, forcing = held
         i = m - start
-        np.multiply(carried[i], dp, out=g)
-        np.multiply(speed[i], dp, out=r)
-        np.add(r, np.vecdot(g, basis) @ lagged, out=r)
+        multiply(carried[i], dp, g)
+        multiply(speed[i], dp, r)
+        add(r, np.vecdot(g, basis) @ lagged, r)
         if forcing is not None:
-            np.add(r, forcing[i], out=r)
-        rfft(r, r_hat)
+            add(r, forcing[i], r)
+        forward(r, one, out)
         gain = gains[stage]
-        return (r_hat if gain is None else gain * r_hat), r
+        if gain is not None:
+            multiply(gain, out, out)
+        return r
 
     return rate
 

@@ -23,23 +23,37 @@ TWO_PI = 2.0 * np.pi
 # end in, with the same factors (1 forward, 1/n back), so every value is
 # bit-equal to theirs, without numpy's Python wrapper (dispatch, dtype, norm
 # and shape handling), which at the grid sizes used here costs more than the
-# transform itself. They look np.fft up at call time, so that numpy.fft loads
-# at the first transform, not with the package: loaded with the package, it
-# raised the peak RSS of the benchmark's steering runs by 0.2-0.3 MiB.
+# transform itself. transform_kernels looks np.fft up when it is called, so
+# that numpy.fft loads at the first transform, not with the package: loaded
+# with the package, it raised the peak RSS of the benchmark's steering runs
+# by 0.2-0.3 MiB.
+
+
+def transform_kernels(n: int) -> tuple[np.ufunc, FloatArray, np.ufunc, FloatArray]:
+    """(forward, one, inverse, inv_n): the gufuncs behind rfft and irfft on n
+    samples and their factors as 0-d arrays, so that forward(x, one, out) is
+    rfft(x, out) and inverse(c, inv_n, out) is irfft(c, n, out), bit for bit.
+    A hot loop binds them once: at 128 samples on a shared 2-core VM a call
+    with a 0-d factor and a positional output took 2.0 us, one with a float
+    factor and `out=` 2.3 us, forward or back."""
+    pocketfft = np.fft._pocketfft_umath
+    return pocketfft.rfft_n_even, np.array(1.0), pocketfft.irfft, np.array(1.0 / n)
 
 
 def rfft(x: FloatArray, out: ComplexArray | None = None) -> ComplexArray:
     """Real FFT along the last axis, of even length, into `out` (made if None)."""
     if out is None:
         out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=np.complex128)
-    return np.fft._pocketfft_umath.rfft_n_even(x, 1.0, out=out)
+    forward, one = transform_kernels(x.shape[-1])[:2]
+    return forward(x, one, out)
 
 
 def irfft(c: ComplexArray, n: int, out: FloatArray | None = None) -> FloatArray:
     """Inverse of rfft, to n samples along the last axis, into `out` (made if None)."""
     if out is None:
         out = np.empty(c.shape[:-1] + (n,))
-    return np.fft._pocketfft_umath.irfft(c, 1.0 / n, out=out)
+    inverse, inv_n = transform_kernels(n)[2:]
+    return inverse(c, inv_n, out)
 
 
 @dataclass(frozen=True)

@@ -43,19 +43,21 @@ def cast_setting(key: str, value: object, default: object):
 
 def read_samples(path: str | Path, count: int, key: str) -> np.ndarray:
     """The little-endian float64 samples of a raw file, which must hold
-    `count`; a read error names `key`, the setting that named the file."""
+    `count`; a read error or a wrong count names `key`, the setting that
+    named the file."""
     try:
         values = np.fromfile(path, dtype="<f8")
     except OSError as exc:
         raise ValueError(f"{key}: cannot read {str(path)!r}: {exc.strerror or exc}") from None
     if values.size != count:
-        raise ValueError(f"{path} holds {values.size} samples, expected {count} (little-endian float64)")
+        raise ValueError(f"{key}: {path} holds {values.size} samples, expected {count} (little-endian float64)")
     return values
 
 
-def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float) -> np.ndarray:
+def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float, key: str) -> np.ndarray:
+    """Wrapped normal density on the grid; `key` names sigma in its error."""
     if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+        raise ValueError(f"{key} must be > 0, got {sigma}")
     th = grid.theta
     acc = np.zeros(grid.n_theta)
     for m in range(-N_WRAPS, N_WRAPS + 1):
@@ -97,12 +99,12 @@ class DensitySpec:
         errors name."""
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in KIND_KEYS:
-            raise ValueError(f"unknown density kind {kind!r}")
+            raise ValueError(f"{key}.kind must be one of {', '.join(map(repr, KIND_KEYS))}, got {kind!r}")
         _check_keys(d, ("kind", *KIND_KEYS[kind]), key)
         if kind == "uniform":
-            return cls(kind="uniform")
+            return cls(kind="uniform", key=key)
         if kind == "wrapped_gaussian":
-            return cls(kind=kind, **{k: cast_setting(f"{key}.{k}", d[k], 0.0) for k in KIND_KEYS[kind]})
+            return cls(kind=kind, key=key, **{k: cast_setting(f"{key}.{k}", d[k], 0.0) for k in KIND_KEYS[kind]})
         if kind == "mixture":
             if not isinstance(d["components"], list):
                 raise ValueError(f"{key}.components must be a list of JSON objects, got {d['components']!r}")
@@ -113,28 +115,32 @@ class DensitySpec:
                 for i, c in enumerate(d["components"])
             )
             if not comps:
-                raise ValueError("mixture needs at least one component")
-            return cls(kind=kind, components=comps)
+                raise ValueError(f"{key}.components needs at least one component")
+            return cls(kind=kind, components=comps, key=key)
         return cls(kind=kind, path=cast_setting(f"{key}.path", d["path"], ""), key=key)
 
     def build(self, grid: CircleGrid) -> Field:
+        """The density on the grid; an out-of-range value stops it with an
+        error that names the value's config key (see `key`)."""
         if self.kind == "uniform":
             raw = np.full(grid.n_theta, 1.0 / TWO_PI)
         elif self.kind == "wrapped_gaussian":
-            raw = wrapped_gaussian_values(grid, self.mean, self.sigma)
+            raw = wrapped_gaussian_values(grid, self.mean, self.sigma, f"{self.key}.sigma")
         elif self.kind == "mixture":
-            raw = np.zeros(grid.n_theta)
+            key = f"{self.key}.components"
+            for i, (w, _, _) in enumerate(self.components):
+                if w < 0.0:
+                    raise ValueError(f"{key}[{i}].weight must be >= 0, got {w}")
             total = sum(w for w, _, _ in self.components)
             if total <= 0.0:
-                raise ValueError("mixture weights must sum to a positive value")
-            for w, mu, sig in self.components:
-                if w < 0.0:
-                    raise ValueError("mixture weights must be nonnegative")
-                raw += (w / total) * wrapped_gaussian_values(grid, mu, sig)
+                raise ValueError(f"{key}: the weights must sum to a positive value, got {total}")
+            raw = np.zeros(grid.n_theta)
+            for i, (w, mu, sig) in enumerate(self.components):
+                raw += (w / total) * wrapped_gaussian_values(grid, mu, sig, f"{key}[{i}].sigma")
         elif self.kind == "from_file":
             raw = read_samples(self.path, grid.n_theta, f"{self.key}.path")
         else:
-            raise ValueError(f"unknown density kind {self.kind!r}")
+            raise ValueError(f"{self.key}.kind must be one of {', '.join(map(repr, KIND_KEYS))}, got {self.kind!r}")
 
         if raw.min() < -1e-12:
             raise ValueError(f"density is negative (min {raw.min():.3e})")

@@ -136,6 +136,16 @@ class TestConfig:
             # a density file that cannot be read names its setting
             ('scenario.q0={"kind":"from_file","path":""}', "scenario.q0.path"),
             ('scenario.target={"kind":"from_file","path":"/nonexistent/q.f64"}', "scenario.target.path"),
+            # an out-of-range value in a density spec names its key
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":1.0,"sigma":-0.5}', "scenario.q0.sigma"),
+            ('scenario.target={"kind":"mixture","components":[{"weight":1.0,"mean":1.0,"sigma":0.0}]}',
+             "scenario.target.components[0].sigma"),
+            ('scenario.target={"kind":"mixture","components":[{"weight":2.0,"mean":1.0,"sigma":0.3},'
+             '{"weight":-1.0,"mean":2.0,"sigma":0.3}]}', "scenario.target.components[1].weight"),
+            ('scenario.target={"kind":"mixture","components":[{"weight":0.0,"mean":1.0,"sigma":0.3}]}',
+             "scenario.target.components: the weights must sum"),
+            ('scenario.q0={"kind":"mixture","components":[]}', "scenario.q0.components"),
+            ('scenario.q0={"kind":"blob"}', "scenario.q0.kind"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -164,6 +174,7 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert str(path) in err and "17 samples" in err and f"expected {101 * 32}" in err
+        assert "initial_controls.u1_file" in err
 
     @pytest.mark.parametrize(
         "name, reason", [("missing.f64", "No such file"), ("", "Is a directory")], ids=["missing", "directory"]
@@ -466,6 +477,19 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
     assert result["oracle_loads"]
+
+
+def test_benchmark_gradcheck_smoke():
+    # the benchmark's shortest workload, run as the benchmark runs it from the
+    # repository root: outputs that the benchmark would score incorrect fail here
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "gradcheck", "--seconds", "0", "--trace", "0"],
+        cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
 
 
 class TestPlotScript:

@@ -21,7 +21,7 @@ from kurasteer import (
     sync_series,
 )
 from kurasteer import dynamics
-from kurasteer.coupling import interaction_values, lagged_basis
+from kurasteer.coupling import interaction_coefficient_table, interaction_values, lagged_basis
 from kurasteer.dynamics import ROW_BLOCK, _adjoint_rate, _solve_states, _state_rate, first_non_finite
 from kurasteer.grid import random_bandlimited, rfft
 from kurasteer.outputs import write_field_file
@@ -38,14 +38,18 @@ def state_rhs(grid, q, u1, u2, alpha, source):
     """rfft coefficients of the state's non-diffusive rate on the row q, with
     control rows u1, u2 and source (one-row histories, unit stage gains)."""
     rate = _state_rate(grid, alpha, u1[None], u2[None], source[None], ((-grid._ik_first, 1.0),), q.shape)
-    return rate(0, q, np.fft.rfft(q), 0)[0]
+    out = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
+    rate(0, q, np.fft.rfft(q), 0, out)
+    return out
 
 
 def adjoint_rate(grid, dp, q, u1, u2, alpha, mismatch, alpha_r):
     """(rfft coefficients, sample values) of the adjoint's backward rate on the
     row dp = d/dtheta p, with state q, controls u1, u2 and mismatch q - z."""
     rate = _adjoint_rate(grid, alpha, q[None], (q - mismatch)[None], u1[None], u2[None], alpha_r, 1.0, (None,))
-    return rate(0, dp, None, 0)
+    out = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
+    values = rate(0, dp, None, 0, out)
+    return out, values
 
 
 def gaussian_q0(grid, mean=np.pi / 2, sigma=0.8):
@@ -332,17 +336,18 @@ def whole_history_adjoint_rate(grid, alpha, q, z, u1, u2, alpha_r, scale, gains)
         forcing = q - z
         forcing *= scale * alpha_r
     g, r = np.empty((2, grid.n_theta))
-    r_hat = np.empty(grid.n_theta // 2 + 1, dtype=np.complex128)
 
-    def rate(m, dp, c, stage):
+    def rate(m, dp, c, stage, out):
         np.multiply(carried[m], dp, out=g)
         np.multiply(speed[m], dp, out=r)
         np.add(r, np.vecdot(g, basis) @ lagged, out=r)
         if forcing is not None:
             np.add(r, forcing[m], out=r)
-        rfft(r, r_hat)
+        rfft(r, out)
         gain = gains[stage]
-        return (r_hat if gain is None else gain * r_hat), r
+        if gain is not None:
+            np.multiply(gain, out, out=out)
+        return r
 
     return rate
 
@@ -372,6 +377,103 @@ class TestAdjointRowBlocks:
         monkeypatch.setattr(dynamics, "_adjoint_rate", whole_history_adjoint_rate)
         whole = solve_adjoint(q, z, controls, params, (0.7, 10.0))
         assert np.array_equal(blocked.data, whole.data)
+
+
+def reference_state(q0, u1, u2, source, params, tg):
+    """The state by a plain-numpy Lawson-Heun: np.fft transforms and a fresh
+    temporary for every expression, in the solver's order of operations.
+    u1, u2 and source are histories or None; an absent u2 is the scalar K,
+    folded into the coupling table as solve_state folds it."""
+    grid, n, dt = q0.grid, q0.grid.n_theta, tg.dt
+    prop = grid.heat_multiplier(params.D, dt)
+    slope = -grid._ik_first
+    gains = ((dt * prop * slope, dt * prop), (0.5 * dt * slope, 0.5 * dt))
+    table = interaction_coefficient_table(grid, params.alpha, params.K if u2 is None else 1.0)
+
+    def rate(k, q, q_hat, stage):
+        speed = (q_hat[1:2] * table).real
+        if u2 is not None:
+            speed = speed * u2[k]
+        if u1 is not None:
+            speed = speed + u1[k]
+        flux_gain, source_gain = gains[stage]
+        if source is None:
+            return flux_gain * np.fft.rfft(speed * q)
+        flux_hat = np.fft.rfft(np.stack((speed * q, source[k])))
+        return flux_gain * flux_hat[0] + source_gain * flux_hat[1]
+
+    y = q0.values
+    y_hat = np.fft.rfft(y)
+    rows = [y]
+    for a in range(tg.n_t):
+        p_y = prop * y_hat
+        pred = p_y + rate(a, y, y_hat, 0)
+        half = 0.5 * (p_y + pred)
+        y_hat = half + rate(a + 1, np.fft.irfft(pred, n), pred, 1)
+        y = np.fft.irfft(y_hat, n)
+        rows.append(y)
+    return np.array(rows)
+
+
+def reference_adjoint(q, z, u1, u2, params, weights, tg):
+    """The adjoint by the plain-numpy mirror of reference_state in reversed
+    time, with its rate's terms made for the whole history; u1 and u2 are
+    histories (an absent control is its baseline's)."""
+    grid, n, dt = q.grid, q.grid.n_theta, tg.dt
+    alpha_r, alpha_t = weights
+    prop = grid.heat_multiplier(params.D, dt)
+    lift = grid._ik_first
+    scale = 0.5 * dt
+    qd, zd = q.data, z.data
+    speed = (interaction_values(grid, qd, params.alpha) * u2 + u1) * scale
+    carried = u2 * qd
+    forcing = (qd - zd) * (scale * alpha_r)
+    cos_a, sin_a = lagged_basis(grid, -params.alpha)
+    lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
+    gain = 2.0 * prop
+
+    def rate(m, dp, stage):
+        r = speed[m] * dp + np.vecdot(carried[m] * dp, grid.moment_basis) @ lagged + forcing[m]
+        r_hat = np.fft.rfft(r)
+        return (gain * r_hat if stage == 0 else r_hat), r
+
+    rows = np.empty_like(qd)
+    rows[-1] = alpha_t * (qd[-1] - zd[-1])
+    y_hat = np.fft.rfft(rows[-1])
+    for a in range(tg.n_t, 0, -1):
+        p_y = prop * y_hat
+        pred = p_y + rate(a, np.fft.irfft(lift * y_hat, n), 0)[0]
+        half = (p_y + pred) * 0.5
+        x, h = np.fft.irfft(np.stack((lift * pred, half)), n)
+        inc_hat, inc = rate(a - 1, x, 1)
+        y_hat = half + inc_hat
+        rows[a - 1] = h + inc
+    return rows
+
+
+class TestStepperReference:
+    """solve_state and solve_adjoint step in buffers made once per solve,
+    through transforms bound once per solve; their histories must equal the
+    plain-numpy Lawson-Heun above byte for byte."""
+
+    @pytest.mark.parametrize("name, offset, scale", [("u1", 0.0, 0.3), ("u2", 1.3, 0.2), ("source", 0.0, 0.05)])
+    def test_matches_plain_numpy_stepper(self, name, offset, scale):
+        grid, tg = CircleGrid(32), TimeGrid(1.0, 60)
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.3)
+        ramp = np.cos(np.pi * tg.times / tg.T)[:, None]
+        bump = random_bandlimited(grid, np.random.default_rng(7), k_max=4).values
+        controls = ControlSet(**{name: Trajectory(grid, tg, offset + scale * ramp * bump)})
+        q0 = gaussian_q0(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)  # rough controls may dip negative
+            q = solve_state(q0, controls, params, tg)
+        u1, u2, src = (None if controls.get(name) is None else controls.get(name).data for name in ("u1", "u2", "source"))
+        assert q.data.tobytes() == reference_state(q0, u1, u2, src, params, tg).tobytes()
+
+        z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
+        p = solve_adjoint(q, z, controls, params, (0.7, 10.0))
+        u1, u2 = (controls.array(name, grid, tg, params) for name in ("u1", "u2"))
+        assert p.data.tobytes() == reference_adjoint(q, z, u1, u2, params, (0.7, 10.0), tg).tobytes()
 
 
 class TestBatchedStepper:
@@ -497,8 +599,13 @@ class TestBatchedStepper:
         src = Trajectory.constant(grid, tg, 0.01) if with_source else None
         controls = ControlSet(u1=Trajectory.constant(grid, tg, 0.2), source=src)
         z = Trajectory.from_field(gaussian_q0(grid, mean=3 * np.pi / 2, sigma=0.4), tg)
-        # the solvers transform through the package's helpers, never np.fft
-        calls = {(module, name): 0 for module in (dynamics, np.fft) for name in ("rfft", "irfft")}
+        # every transform, bound once per solve or made through the package's
+        # helpers, is a call of a pocketfft gufunc; none goes through np.fft
+        pocketfft = np.fft._pocketfft_umath
+        calls = {
+            **{(pocketfft, name): 0 for name in ("rfft_n_even", "irfft")},
+            **{(np.fft, name): 0 for name in ("rfft", "irfft")},
+        }
         for module, name in calls:
             original = getattr(module, name)
 
@@ -509,10 +616,10 @@ class TestBatchedStepper:
             monkeypatch.setattr(module, name, counted)
 
         def counts():
-            helpers = calls[dynamics, "rfft"] + calls[dynamics, "irfft"]
+            transforms = calls[pocketfft, "rfft_n_even"] + calls[pocketfft, "irfft"]
             public = calls[np.fft, "rfft"] + calls[np.fft, "irfft"]
             calls.update(dict.fromkeys(calls, 0))
-            return helpers, public
+            return transforms, public
 
         q = solve_state(gaussian_q0(grid), controls, params, tg)
         assert counts() == (4 * tg.n_t + 1, 0)

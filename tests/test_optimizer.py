@@ -602,7 +602,7 @@ class TestMemory:
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
     def test_gradient_check_keeps_no_probe_history(self, mode, traced_peak):
         # the check problem, 10 directions x 18 probes: measured 29.2
-        # (velocity) and 31.2 (linear_source) histories, of which the
+        # (velocity) and 31.0 (linear_source) histories, of which the
         # directions are 10 and the probes' row sums 5.6 (velocity); 41.8
         # when each direction's 18 probe controls and states were stored
         runcfg = RunConfig.from_dict(load_config(None, ["check.n_theta=64", "check.n_t=200", "check.T=1.0"]))

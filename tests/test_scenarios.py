@@ -50,7 +50,7 @@ class TestDensitySpec:
     def test_from_file_wrong_length(self, grid, tmp_path):
         path = tmp_path / "density.f64"
         np.ones(17).astype("<f8").tofile(path)
-        with pytest.raises(ValueError, match="17 samples"):
+        with pytest.raises(ValueError, match=r"^scenario\.q0\.path: .* holds 17 samples"):
             DensitySpec.from_dict({"kind": "from_file", "path": str(path)}, "scenario.q0").build(grid)
 
     def test_negative_density_rejected(self, grid, tmp_path):
