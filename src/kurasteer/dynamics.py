@@ -290,13 +290,22 @@ def _state_rate(
     flux_hat = np.empty(flux.shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
     if source is not None:
         (flux_q, flux_s), (flux_q_hat, flux_s_hat) = flux, flux_hat
+    # views made once per solve: the histories time-first, so that row k is
+    # [k], and mode 1 of each stage's coefficients, which the stepper keeps
+    # in one buffer per stage for the whole solve (see _lawson_heun)
+    u1_rows, source_rows = (None if h is None else np.moveaxis(h, -2, 0) for h in (u1, source))
+    u2_rows = None if fixed else np.moveaxis(u2, -2, 0)
+    mode1 = [None, None]
 
     def rate(k: int, q: FloatArray, q_hat: ComplexArray, stage: int, out: ComplexArray) -> None:
-        multiply(q_hat[..., 1:2], table, speed_c)
+        c1 = mode1[stage]
+        if c1 is None:
+            c1 = mode1[stage] = q_hat[..., 1:2]
+        multiply(c1, table, speed_c)
         if not fixed:
-            multiply(speed, u2[..., k, :], speed)
+            multiply(speed, u2_rows[k], speed)
         if u1 is not None:
-            add(speed, u1[..., k, :], speed)
+            add(speed, u1_rows[k], speed)
         flux_gain, source_gain = gains[stage]
         if source is None:
             multiply(speed, q, flux)
@@ -304,7 +313,7 @@ def _state_rate(
             multiply(flux_gain, flux_hat, out)
             return
         multiply(speed, q, flux_q)
-        np.copyto(flux_s, source[..., k, :])
+        np.copyto(flux_s, source_rows[k])
         forward(flux, one, flux_hat)
         multiply(flux_gain, flux_q_hat, out)
         multiply(source_gain, flux_s_hat, flux_s_hat)

@@ -55,6 +55,7 @@ logger = logging.getLogger(__name__)
 
 GRADCHECK_TOL = 1e-3
 EPS_SWEEP = np.logspace(-1, -5, 9)  # gradient_check's finite-difference steps, descending
+MIN_BACKTRACK = 0.1  # the smallest factor on the step after a rejected trial
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,12 @@ class OptimizerConfig:
     """Armijo backtracking steepest-descent settings.
 
     The line search warm-starts from (a multiple of) the last accepted step;
-    initial_step seeds the first iteration. method="ncg" switches to
-    Polak-Ribiere conjugate directions with automatic restart (never the
-    default; plain gradient descent is the reference configuration).
+    initial_step seeds the first iteration. A rejected trial cuts the step by
+    at most backtrack_factor: a quadratic fit of its cost chooses a factor
+    between MIN_BACKTRACK and backtrack_factor (see optimize). method="ncg"
+    switches to Polak-Ribiere conjugate directions with automatic restart
+    (never the default; plain gradient descent is the reference
+    configuration).
     """
 
     max_iters: int = 100
@@ -156,6 +160,7 @@ class IterationRecord:
     grad_norm: float
     step: float
     backtracks: int
+    trials: int  # state solves of the line search that found this iterate
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,9 @@ class OptResult:
     that was solved), adjoint_solves is 1 + the accepted steps. A "stalled"
     run adds one to each: the descent does not hold the state and adjoint of
     its iterate through the line search, and solves both again at the
-    returned controls, which line_search_trials does not count.
+    returned controls, which line_search_trials does not count. The
+    iterates' trials add up to line_search_trials, but for the failed search
+    of a stalled run, which found no iterate.
     """
 
     status: str
@@ -424,10 +431,13 @@ def optimize(problem: OcpProblem) -> OptResult:
     the advective controls before evaluation, so a control saturating the
     stability limit in one region cannot freeze progress everywhere else;
     with no clipping the acceptance test is the literal Armijo rule
-    J(u - s*grad) <= J(u) - c*s*|grad|^2. Candidates that still fail to
-    integrate count as failed trials and trigger further backtracking. If a
-    line search exhausts its backtracks from the current starting step, it
-    retries once from 1/100 of that step before the run stops with status
+    J(u - s*grad) <= J(u) - c*s*|grad|^2. After a rejected trial at step s
+    the next step is s times the minimizer of the quadratic through J(u),
+    the predicted slope and the trial's cost, as a fraction of s, kept within
+    [MIN_BACKTRACK, backtrack_factor]; a trial that fails to integrate, or a
+    candidate with no predicted decrease, cuts the step by backtrack_factor.
+    If a line search exhausts its backtracks from the current starting step,
+    it retries once from 1/100 of that step before the run stops with status
     "stalled", keeping the best iterate found.
 
     The line search reads neither the state nor the adjoint of its start,
@@ -441,11 +451,12 @@ def optimize(problem: OcpProblem) -> OptResult:
     trials = 0
 
     def trial(u, g, e, s, j_cur):
-        """(u_try, controls, state, costs) of the candidate P(u - s*e) if it
-        passes the Armijo test, else None; e is the negated search direction
-        (the gradient, for GD). The candidate is built in place as one fresh
-        read-only array per control; nothing of a rejected trial outlives the
-        call."""
+        """(hit, factor) of the candidate P(u - s*e): hit is its (u_try,
+        controls, state, costs) if it passes the Armijo test, else None, and
+        factor the next step's multiplier after a rejection; e is the negated
+        search direction (the gradient, for GD). The candidate is built in
+        place as one fresh read-only array per control; nothing of a rejected
+        trial outlives the call."""
         nonlocal trials
         u_try, pred = {}, 0.0
         for n in u:
@@ -457,21 +468,28 @@ def optimize(problem: OcpProblem) -> OptResult:
             # predicted decrease <g, u - P(u - s e)>; equals s*<g, e> unclipped
             pred += _quadrature(grid, tgrid, difference_sums(u[n], arr, g[n]))
         if not pred > 0.0:
-            return None
+            return None, cfg.backtrack_factor
         trials += 1
         try:
             cs_try, q_try, costs = _evaluate(problem, u_try)
         except (CFLError, NumericsError):
-            return None
-        return (u_try, cs_try, q_try, costs) if costs[0] <= j_cur - cfg.armijo_c * pred else None
+            return None, cfg.backtrack_factor
+        if costs[0] <= j_cur - cfg.armijo_c * pred:
+            return (u_try, cs_try, q_try, costs), None
+        # safeguarded quadratic backtracking (Dennis & Schnabel 1983, 6.3.2):
+        # the fraction of s at which the quadratic through j_cur, with slope
+        # -pred/s, and through costs[0] at s is least; below 1/(2(1 - c))
+        # here, since the trial was rejected
+        ratio = pred / (2.0 * (costs[0] - j_cur + pred))
+        return None, max(MIN_BACKTRACK, min(cfg.backtrack_factor, ratio))
 
     def armijo(u, g, e, j_cur, s_start):
         s = s_start
         for bt in range(cfg.max_backtracks + 1):
-            hit = trial(u, g, e, s, j_cur)
+            hit, factor = trial(u, g, e, s, j_cur)
             if hit is not None:
                 return s, bt, *hit
-            s *= cfg.backtrack_factor
+            s *= factor
         return None
 
     u = _baseline_arrays(problem)
@@ -481,14 +499,14 @@ def optimize(problem: OcpProblem) -> OptResult:
 
     records: list[IterationRecord] = []
     status = "max_iters"
-    step_used, bt_used = 0.0, 0
+    step_used, bt_used, trials_used = 0.0, 0, 0
     s_start = cfg.initial_step
     prev = None  # (gradient, negated direction) of the last step, which only NCG reads
 
     for it in range(cfg.max_iters + 1):
         g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
         gn = _grad_norm(grid, tgrid, g)
-        records.append(IterationRecord(it, j, j_q, j_u, gn, step_used, bt_used))
+        records.append(IterationRecord(it, j, j_q, j_u, gn, step_used, bt_used, trials_used))
         logger.info("iter %3d  J=%.9e  |grad|=%.3e  step=%.2e  bt=%d", it, j, gn, step_used, bt_used)
 
         if gn <= cfg.grad_tol:
@@ -510,6 +528,7 @@ def optimize(problem: OcpProblem) -> OptResult:
             e = _polak_ribiere(grid, tgrid, g, prev)
             prev = None
 
+        trials_before = trials
         hit = armijo(u, g, e, j, s_start)
         if hit is None:
             hit = armijo(u, g, e, j, s_start / 100.0)
@@ -528,7 +547,7 @@ def optimize(problem: OcpProblem) -> OptResult:
         del hit, g, e
         p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
         adjoint_solves += 1
-        step_used, bt_used = s_acc, bt
+        step_used, bt_used, trials_used = s_acc, bt, trials - trials_before
         s_start = 2.0 * s_acc if bt == 0 else s_acc
 
     warn_if_negative(q_traj.data, "optimized state")

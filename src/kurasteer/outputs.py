@@ -39,11 +39,11 @@ def write_timeseries_csv(
 
 def write_convergence_csv(path: Path, iterates: Iterable[IterationRecord]) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("iter,J,J_q,J_u,grad_norm,step,backtracks\n")
+        fh.write("iter,J,J_q,J_u,grad_norm,step,backtracks,trials\n")
         for rec in iterates:
             fh.write(
                 f"{rec.iteration},{fmt(rec.J)},{fmt(rec.J_q)},{fmt(rec.J_u)},"
-                f"{fmt(rec.grad_norm)},{fmt(rec.step)},{rec.backtracks}\n"
+                f"{fmt(rec.grad_norm)},{fmt(rec.step)},{rec.backtracks},{rec.trials}\n"
             )
 
 

@@ -249,6 +249,16 @@ def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_
 
 
 @pytest.mark.slow
+def test_velocity_reference_beats_halving_search(velocity_result):
+    # the reference descent with the quadratic backtracking reads J = 0.665
+    # after 239 state and adjoint solves; halving every rejected trial
+    # instead reached J = 0.738 with 260
+    res, _ = velocity_result
+    solves = res.state_solves + res.adjoint_solves
+    assert res.final.J < 0.738 and solves <= 260, (res.final.J, solves)
+
+
+@pytest.mark.slow
 def test_criterion_09_interaction_mode_end_to_end(scenario, baseline_run):
     grid, params, q0, target = scenario
     tgrid, baseline = baseline_run

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -25,6 +26,13 @@ FAST = [
 
 def read(path):
     return path.read_bytes()
+
+
+def convergence_columns(out, *names):
+    """Integer columns of an optimize run's convergence.csv, by name."""
+    with open(out / "convergence.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return [[int(row[name]) for row in rows] for name in names]
 
 
 class TestConfig:
@@ -323,7 +331,7 @@ class TestOptimize:
             < summary["baseline"]["terminal_tracking_error"]
         )
         conv = (out / "convergence.csv").read_text().strip().splitlines()
-        assert conv[0] == "iter,J,J_q,J_u,grad_norm,step,backtracks"
+        assert conv[0] == "iter,J,J_q,J_u,grad_norm,step,backtracks,trials"
         costs = [float(r.split(",")[1]) for r in conv[1:]]
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert (out / "control_u1.f64").exists()
@@ -359,8 +367,18 @@ class TestOptimize:
         assert solves["adjoint"] == 1 + summary["iterations"]
         # each step of this run is found by one line search, all of whose
         # trials are solved: its backtracks and the accepted trial
-        backtracks = [int(row.split(",")[-1]) for row in (out / "convergence.csv").read_text().splitlines()[1:]]
-        assert solves["line_search_trials"] == sum(bt + 1 for bt in backtracks[1:])
+        trials, backtracks = convergence_columns(out, "trials", "backtracks")
+        assert trials == [0] + [bt + 1 for bt in backtracks[1:]]
+        assert sum(trials) == solves["line_search_trials"]
+
+    def test_trials_count_a_retried_search(self, tmp_path):
+        # the third search is exhausted after two trials, and its retry is not
+        out = tmp_path / "run"
+        assert main(["optimize", "--out", str(out), *OPT_FAST, "--set", "optimizer.max_backtracks=1"]) == 0
+        solves = json.loads((out / "summary.json").read_text())["solves"]
+        trials, backtracks = convergence_columns(out, "trials", "backtracks")
+        assert any(t > bt + 1 for t, bt in zip(trials[1:], backtracks[1:]))
+        assert sum(trials) == solves["line_search_trials"]
 
     def test_zero_iterations_matches_simulate(self, tmp_path):
         sim, opt = tmp_path / "sim", tmp_path / "opt"
@@ -444,6 +462,7 @@ class TestCheck:
 
 
 COLD_START = """
+import csv
 import json
 import sys
 
@@ -479,17 +498,29 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert result["oracle_loads"]
 
 
-def test_benchmark_gradcheck_smoke():
-    # the benchmark's shortest workload, run as the benchmark runs it from the
-    # repository root: outputs that the benchmark would score incorrect fail here
+def run_benchmark(workload: str) -> None:
+    """One benchmark workload, run as the benchmark runs it from the
+    repository root: outputs that the benchmark would score incorrect fail."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "gradcheck", "--seconds", "0", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0", "--trace", "0"],
         cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_gradcheck_smoke():
+    # the benchmark's shortest workload
+    run_benchmark("gradcheck")
+
+
+@pytest.mark.slow
+def test_benchmark_steer_velocity_smoke():
+    # the benchmark's checks of a descent: J strictly decreasing, J recomputed
+    # from the written fields, terminal error at most half the baseline's
+    run_benchmark("steer-velocity")
 
 
 class TestPlotScript:

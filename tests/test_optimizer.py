@@ -29,11 +29,14 @@ from kurasteer import dynamics, optimizer
 from kurasteer.dynamics import CONTROLS, ROW_BLOCK, CFLError, NumericsError, _solve_states
 from kurasteer.optimizer import (
     GRADCHECK_TOL,
+    MIN_BACKTRACK,
     _advective_caps,
     _baseline_arrays,
     _evaluate,
     _probe_costs,
+    _quadrature,
     _smooth_direction,
+    difference_sums,
     shape_project,
     space_time_inner,
 )
@@ -880,6 +883,72 @@ class TestOptimize:
         assert res.state_solves == 1 + resolves + res.line_search_trials == calls["state"]
         assert res.adjoint_solves == 1 + resolves + accepted == calls["adjoint"]
         assert res.line_search_trials >= accepted
+        # each record counts the trials of the search that found it; the
+        # failed search of a stalled run is in no record
+        assert sum(r.trials for r in res.iterates) == res.line_search_trials - 4 * resolves
         if resolves:
             # two line searches of two trials each stall at the start
             assert (res.state_solves, res.adjoint_solves, res.line_search_trials) == (6, 2, 4)
+
+
+class TestBacktracking:
+    """The step after a rejected trial: the minimizer of the quadratic fit of
+    its cost, kept within [MIN_BACKTRACK, backtrack_factor], or
+    backtrack_factor when the trial has no cost."""
+
+    S0 = 1000.0  # the first trial overshoots, J 4.80 -> 15.2
+
+    @staticmethod
+    def candidate(problem, u0, g, s):
+        """P(u0 - s*g), built as the line search builds it."""
+        arr = np.multiply(-s, g["u1"])
+        arr += u0["u1"]
+        cap = _advective_caps(problem)["u1"]
+        return np.clip(arr, -cap, cap, out=arr)
+
+    @pytest.mark.parametrize("first", ["solved", "inflated", "cfl"])
+    def test_second_trial_step(self, first, monkeypatch):
+        grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=200, T=1.0)
+        prob = OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
+            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            optimizer=OptimizerConfig(max_iters=1, initial_step=self.S0), q0=q0, target=z,
+        )
+        tried, costs = [], []
+
+        def recorded(problem, u):
+            # the first trial as solved, with its cost raised by 1e3, or failing the CFL limit
+            tried.append(u)
+            if len(tried) == 2 and first == "cfl":
+                raise CFLError("dt violates the advective CFL limit")
+            cs, q, (j, j_q, j_u) = _evaluate(problem, u)
+            if len(tried) == 2 and first == "inflated":
+                j += 1e3
+            costs.append(j)
+            return cs, q, (j, j_q, j_u)
+
+        monkeypatch.setattr(optimizer, "_evaluate", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)  # the large first step dips negative
+            optimize(prob)
+        u0, u1, u2 = tried[:3]
+        cs, q, (j0, _, _) = _evaluate(prob, u0)
+        weights = prob.weights
+        p = solve_adjoint(q, z, cs, params, (weights.alpha_r, weights.alpha_t))
+        g = reduced_gradient(q, p, cs, weights, prob.mode, params, prob.shape)
+        assert np.array_equal(u1["u1"], self.candidate(prob, u0, g, self.S0))
+
+        largest = prob.optimizer.backtrack_factor
+        if first == "cfl":
+            s = self.S0 * largest
+        else:
+            j1 = costs[1]
+            pred = _quadrature(grid, tgrid, difference_sums(u0["u1"], u1["u1"], g["u1"]))
+            assert j1 > j0 - prob.optimizer.armijo_c * pred  # rejected
+            ratio = pred / (2.0 * (j1 - j0 + pred))
+            # the fit sets the step; far above the fit, the lower safeguard does
+            assert (MIN_BACKTRACK < ratio < largest) if first == "solved" else ratio < MIN_BACKTRACK
+            s = self.S0 * np.clip(ratio, MIN_BACKTRACK, largest)
+        assert np.array_equal(u2["u1"], self.candidate(prob, u0, g, s))
+        # the candidate pins the step to the last bit
+        assert not np.array_equal(u2["u1"], self.candidate(prob, u0, g, np.nextafter(s, 0.0)))
