@@ -18,6 +18,10 @@ resolution-independent. Restricted control dependences (space-only,
 time-only, constant) are handled by orthogonal projection of the space-time
 gradient, i.e. averaging over the suppressed coordinate, which is the exact
 gradient of the restricted problem.
+
+The descent steps along the Sobolev gradient M^-1 g of the H1(theta) metric
+M (see sobolev), not along g: the direction is smooth in theta, and the
+progress per iteration does not degrade as the grid is refined.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ from .dynamics import (
     solve_state,
     warn_if_negative,
 )
-from .grid import TWO_PI, CircleGrid, Field, FloatArray
+from .grid import TWO_PI, CircleGrid, Field, FloatArray, irfft, rfft
 
 logger = logging.getLogger(__name__)
 
 GRADCHECK_TOL = 1e-3
 EPS_SWEEP = np.logspace(-1, -5, 9)  # gradient_check's finite-difference steps, descending
 MIN_BACKTRACK = 0.1  # the smallest factor on the step after a rejected trial
+SOBOLEV_LENGTH = 1.0  # l of the descent metric M = I - l**2 d^2/dtheta^2, in radians
 
 
 @dataclass(frozen=True)
@@ -92,15 +97,14 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Armijo backtracking steepest-descent settings.
+    """Armijo backtracking settings of the Sobolev-gradient descent.
 
     The line search warm-starts from (a multiple of) the last accepted step;
     initial_step seeds the first iteration. A rejected trial cuts the step by
     at most backtrack_factor: a quadratic fit of its cost chooses a factor
-    between MIN_BACKTRACK and backtrack_factor (see optimize). method="ncg"
-    switches to Polak-Ribiere conjugate directions with automatic restart
-    (never the default; plain gradient descent is the reference
-    configuration).
+    between MIN_BACKTRACK and backtrack_factor (see optimize). grad_tol
+    bounds the L2 norm of the gradient, not of the direction. The metric's
+    length SOBOLEV_LENGTH is fixed, not a setting.
     """
 
     max_iters: int = 100
@@ -110,7 +114,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     cost_rel_tol: float = 1e-12
     max_backtracks: int = 40
-    method: str = "gd"
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
@@ -124,8 +127,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
-        if self.method not in ("gd", "ncg"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,12 @@ def space_time_inner(grid: CircleGrid, tgrid: TimeGrid, a: FloatArray, b: FloatA
     return _quadrature(grid, tgrid, sums)
 
 
-def difference_sums(a: FloatArray, b: FloatArray | float, c: FloatArray | None = None) -> FloatArray:
-    """Row sums of c*(a - b), or of (a - b)**2 when c is None, for histories
-    a and c and a history or scalar b."""
+def difference_sums(a: FloatArray, b: FloatArray | float) -> FloatArray:
+    """Row sums of (a - b)**2, for a history a and a history or scalar b."""
 
     def fill(rows: slice, out: FloatArray) -> FloatArray:
         np.subtract(a[rows], b[rows] if np.ndim(b) else b, out=out)
-        return np.multiply(out if c is None else c[rows], out, out=out)
+        return np.multiply(out, out, out=out)
 
     return _row_sums(a.shape, fill)
 
@@ -238,6 +238,20 @@ def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> Floa
         return np.broadcast_to(avg[:, None], arr.shape).copy()
     c = float(wt @ arr.mean(axis=1)) / wt.sum()
     return np.full(arr.shape, c)
+
+
+def sobolev(grid: CircleGrid, x: FloatArray, inverse: bool, out: FloatArray | None = None) -> FloatArray:
+    """M x, or M^-1 x when inverse, for M = I - l**2 d^2/dtheta^2 with
+    l = SOBOLEV_LENGTH: rfft mode k of each row is multiplied, or divided, by
+    1 + (l k)**2, one block of rows at a time, into out (made if None; it may
+    be x). Rows constant in theta are kept, so M commutes with shape_project."""
+    out = np.empty_like(x) if out is None else out
+    factor = 1.0 + (SOBOLEV_LENGTH * grid.wavenumbers) ** 2
+    for rows in row_blocks(len(x)):
+        coef = rfft(x[rows])
+        (np.divide if inverse else np.multiply)(coef, factor, out=coef)
+        irfft(coef, grid.n_theta, out[rows])
+    return out
 
 
 def _advective_caps(problem: OcpProblem) -> dict[str, float]:
@@ -399,39 +413,19 @@ def _grad_norm(grid: CircleGrid, tgrid: TimeGrid, g: dict[str, FloatArray]) -> f
     return float(np.sqrt(sum(space_time_inner(grid, tgrid, a, a) for a in g.values())))
 
 
-def _polak_ribiere(
-    grid: CircleGrid,
-    tgrid: TimeGrid,
-    g: dict[str, FloatArray],
-    prev: tuple[dict[str, FloatArray], dict[str, FloatArray]],
-) -> dict[str, FloatArray]:
-    """Negated Polak-Ribiere direction -d from the last step's (gradient, -d)
-    when d is a descent direction, else the gradient g itself (d = -g).
-    Negation is exact, so -d holds the same values as d but for sign."""
-    g_prev, e_prev = prev
-    denom = sum(space_time_inner(grid, tgrid, g_prev[n], g_prev[n]) for n in g)
-    numer = sum(_quadrature(grid, tgrid, difference_sums(g[n], g_prev[n], g[n])) for n in g)
-    beta = max(0.0, numer / denom)
-    e_try = {}
-    for n in g:
-        e_try[n] = np.multiply(beta, e_prev[n])
-        e_try[n] += g[n]
-    return e_try if sum(space_time_inner(grid, tgrid, e_try[n], g[n]) for n in g) > 0.0 else g
-
-
 def sync_series(traj: Trajectory) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
     """(t, R, psi, mass) along a state trajectory, from the first circular moment."""
     return (traj.tgrid.times, *polar_order(traj.grid, traj.data), traj.mass())
 
 
 def optimize(problem: OcpProblem) -> OptResult:
-    """Armijo-backtracking descent on the reduced cost.
+    """Armijo-backtracking descent on the reduced cost along e = M^-1 g.
 
     Line-search candidates are clipped pointwise to the CFL-feasible box of
     the advective controls before evaluation, so a control saturating the
     stability limit in one region cannot freeze progress everywhere else;
     with no clipping the acceptance test is the literal Armijo rule
-    J(u - s*grad) <= J(u) - c*s*|grad|^2. After a rejected trial at step s
+    J(u - s*e) <= J(u) - c*s*<g, e>. After a rejected trial at step s
     the next step is s times the minimizer of the quadratic through J(u),
     the predicted slope and the trial's cost, as a fraction of s, kept within
     [MIN_BACKTRACK, backtrack_factor]; a trial that fails to integrate, or a
@@ -441,8 +435,8 @@ def optimize(problem: OcpProblem) -> OptResult:
     "stalled", keeping the best iterate found.
 
     The line search reads neither the state nor the adjoint of its start,
-    and the descent does not hold them through it: a stalled run solves both
-    again at the control it returns (see OptResult).
+    nor g, and the descent does not hold them through it: a stalled run
+    solves both again at the control it returns (see OptResult).
     """
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
     mode, weights, cfg = problem.mode, problem.weights, problem.optimizer
@@ -450,13 +444,12 @@ def optimize(problem: OcpProblem) -> OptResult:
     caps = _advective_caps(problem)
     trials = 0
 
-    def trial(u, g, e, s, j_cur):
+    def trial(u, e, s, j_cur):
         """(hit, factor) of the candidate P(u - s*e): hit is its (u_try,
         controls, state, costs) if it passes the Armijo test, else None, and
-        factor the next step's multiplier after a rejection; e is the negated
-        search direction (the gradient, for GD). The candidate is built in
-        place as one fresh read-only array per control; nothing of a rejected
-        trial outlives the call."""
+        factor the next step's multiplier after a rejection. The candidate is
+        built in place as one fresh read-only array per control; nothing of a
+        rejected trial outlives the call."""
         nonlocal trials
         u_try, pred = {}, 0.0
         for n in u:
@@ -465,8 +458,13 @@ def optimize(problem: OcpProblem) -> OptResult:
             if n in caps:
                 np.clip(arr, -caps[n], caps[n], out=arr)
             u_try[n] = read_only(arr)
+
+            def fill(rows, out):
+                sobolev(grid, e[n][rows], False, out)  # g = M e, remade block by block
+                return np.multiply(out, np.subtract(u[n][rows], arr[rows]), out=out)
+
             # predicted decrease <g, u - P(u - s e)>; equals s*<g, e> unclipped
-            pred += _quadrature(grid, tgrid, difference_sums(u[n], arr, g[n]))
+            pred += _quadrature(grid, tgrid, _row_sums(arr.shape, fill))
         if not pred > 0.0:
             return None, cfg.backtrack_factor
         trials += 1
@@ -483,10 +481,10 @@ def optimize(problem: OcpProblem) -> OptResult:
         ratio = pred / (2.0 * (costs[0] - j_cur + pred))
         return None, max(MIN_BACKTRACK, min(cfg.backtrack_factor, ratio))
 
-    def armijo(u, g, e, j_cur, s_start):
+    def armijo(u, e, j_cur, s_start):
         s = s_start
         for bt in range(cfg.max_backtracks + 1):
-            hit, factor = trial(u, g, e, s, j_cur)
+            hit, factor = trial(u, e, s, j_cur)
             if hit is not None:
                 return s, bt, *hit
             s *= factor
@@ -501,7 +499,6 @@ def optimize(problem: OcpProblem) -> OptResult:
     status = "max_iters"
     step_used, bt_used, trials_used = 0.0, 0, 0
     s_start = cfg.initial_step
-    prev = None  # (gradient, negated direction) of the last step, which only NCG reads
 
     for it in range(cfg.max_iters + 1):
         g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
@@ -521,30 +518,27 @@ def optimize(problem: OcpProblem) -> OptResult:
             status = "max_iters"
             break
 
-        # the line search reads neither the state nor the adjoint
+        # the line search reads neither the state nor the adjoint, nor g,
+        # which the direction overwrites once its L2 norm is recorded
         del q_traj, p_traj
-        e = g
-        if prev is not None:
-            e = _polak_ribiere(grid, tgrid, g, prev)
-            prev = None
+        e = {n: sobolev(grid, a, True, out=a) for n, a in g.items()}
+        del g
 
         trials_before = trials
-        hit = armijo(u, g, e, j, s_start)
+        hit = armijo(u, e, j, s_start)
         if hit is None:
-            hit = armijo(u, g, e, j, s_start / 100.0)
+            hit = armijo(u, e, j, s_start / 100.0)
         if hit is None:
             status = "stalled"
-            del g, e
+            del e
             cs, q_traj, _ = _evaluate(problem, u)
             p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
             state_solves += 1
             adjoint_solves += 1
             break
         s_acc, bt, u, cs, q_traj, (j, j_q, j_u) = hit
-        if cfg.method == "ncg":
-            prev = g, e
-        # the old gradient and direction are not read again
-        del hit, g, e
+        # the old direction is not read again
+        del hit, e
         p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
         adjoint_solves += 1
         step_used, bt_used, trials_used = s_acc, bt, trials - trials_before

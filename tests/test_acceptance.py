@@ -8,6 +8,7 @@ wrapped-Gaussian target at 3*pi/2 (sigma 0.4).
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kurasteer import (
     CouplingParams,
     OcpProblem,
     OptimizerConfig,
+    ResolutionWarning,
     TimeGrid,
     Trajectory,
     gradient_check,
@@ -50,13 +52,17 @@ def verdict(num: int, ok: bool, budget: float, elapsed: float, detail: str) -> N
     assert elapsed <= budget, f"runtime {elapsed:.1f}s exceeded budget {budget:.0f}s"
 
 
-@pytest.fixture(scope="module")
-def scenario():
-    grid = CircleGrid(128)
+def reference_scenario(n_theta=128):
+    grid = CircleGrid(n_theta)
     params = CouplingParams(alpha=0.0, D=0.25, K=1.0)
     q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
     target = DensitySpec(kind="wrapped_gaussian", mean=3 * np.pi / 2, sigma=0.4).build(grid)
     return grid, params, q0, target
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return reference_scenario()
 
 
 @pytest.fixture(scope="module")
@@ -207,26 +213,33 @@ def test_criterion_07_adjoint_gradient_checks():
     verdict(7, ok, 120.0, time.time() - t0, "; ".join(details))
 
 
-@pytest.fixture(scope="module")
-def velocity_result(scenario, baseline_run):
+def velocity_problem(scenario, tgrid, max_iters):
     grid, params, q0, target = scenario
-    tgrid, _ = baseline_run
-    prob = OcpProblem(
+    return OcpProblem(
         grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
         shape=ControlShape.SPACE_TIME, weights=CostWeights(),
-        optimizer=OptimizerConfig(max_iters=100), q0=q0,
+        optimizer=OptimizerConfig(max_iters=max_iters), q0=q0,
         target=Trajectory.from_field(target, tgrid),
     )
+
+
+@pytest.fixture(scope="module")
+def velocity_result(scenario, baseline_run):
+    """(result, seconds, warnings raised) of criterion 8's descent."""
+    tgrid, _ = baseline_run
+    prob = velocity_problem(scenario, tgrid, 100)
     t0 = time.time()
-    res = optimize(prob)
-    return res, time.time() - t0
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always", ResolutionWarning)
+        res = optimize(prob)
+    return res, time.time() - t0, raised
 
 
 @pytest.mark.slow
 def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_result):
     grid, params, q0, target = scenario
     tgrid, baseline = baseline_run
-    res, elapsed = velocity_result
+    res, elapsed, _ = velocity_result
     z = target.values
     err_base = float(grid.quad((baseline.data[-1] - z) ** 2))
     err_ctrl = float(grid.quad((res.state.data[-1] - z) ** 2))
@@ -250,12 +263,35 @@ def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_
 
 @pytest.mark.slow
 def test_velocity_reference_beats_halving_search(velocity_result):
-    # the reference descent with the quadratic backtracking reads J = 0.665
-    # after 239 state and adjoint solves; halving every rejected trial
-    # instead reached J = 0.738 with 260
-    res, _ = velocity_result
+    # the reference descent along M^-1 g reads J = 0.2885 after 234 state and
+    # adjoint solves, with a smallest density of +9.3e-8; along g it read
+    # 0.665 in 239, and 0.738 in 260 when every rejected trial was halved.
+    # Scaling the direction by one ulp moves J by 6e-3 to 7e-3 relative
+    # (here to 0.2865 in 233 solves), so J may sit up to twice 6e-3 above the
+    # measured figure
+    res, _, raised = velocity_result
     solves = res.state_solves + res.adjoint_solves
-    assert res.final.J < 0.738 and solves <= 260, (res.final.J, solves)
+    assert res.final.J < 0.2885 * (1 + 2 * 6e-3) and solves <= 239, (res.final.J, solves)
+    assert not [w for w in raised if issubclass(w.category, ResolutionWarning)], [str(w.message) for w in raised]
+
+
+def solves_to(res, target):
+    """State plus adjoint solves of a descent up to its first iterate with J <= target."""
+    first = next(r.iteration for r in res.iterates if r.J <= target)
+    return 2 + sum(r.trials + 1 for r in res.iterates[1 : first + 1])
+
+
+@pytest.mark.slow
+def test_sobolev_descent_is_fast_and_mesh_independent(baseline_run, velocity_result):
+    # the first 20 iterations of criterion 8's descent reach J <= 0.8 after
+    # 16 solves (109 along the L2 gradient), and J at iteration 20, 0.3439,
+    # reads 0.3421 on half the nodes (0.891 and 0.831 along the L2 gradient)
+    res, _, _ = velocity_result
+    assert solves_to(res, 0.8) <= 20
+    tgrid, _ = baseline_run
+    coarse = optimize(velocity_problem(reference_scenario(64), tgrid, 20))
+    fine_j = res.iterates[20].J
+    assert abs(coarse.final.J - fine_j) <= 0.02 * fine_j, (coarse.final.J, fine_j)
 
 
 @pytest.mark.slow

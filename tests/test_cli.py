@@ -174,6 +174,13 @@ class TestConfig:
         assert "initial_controls.source_file" in capsys.readouterr().err
         assert not (tmp_path / "x" / "summary.json").exists()
 
+    def test_descent_method_is_not_a_setting(self, tmp_path, capsys):
+        # the descent has one method, the Sobolev gradient; "ncg" is gone
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, "--set", "optimizer.method=ncg"])
+        assert code == 1
+        assert "unknown config key 'optimizer.method'" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "summary.json").exists()
+
     def test_control_file_wrong_length_hard_error(self, tmp_path, capsys):
         path = tmp_path / "u1.f64"
         np.zeros(17).astype("<f8").tofile(path)
@@ -372,9 +379,11 @@ class TestOptimize:
         assert sum(trials) == solves["line_search_trials"]
 
     def test_trials_count_a_retried_search(self, tmp_path):
-        # the third search is exhausted after two trials, and its retry is not
+        # from the first step of 100, doubled, the second search is exhausted
+        # after two trials, and its retry is not
         out = tmp_path / "run"
-        assert main(["optimize", "--out", str(out), *OPT_FAST, "--set", "optimizer.max_backtracks=1"]) == 0
+        assert main(["optimize", "--out", str(out), *OPT_FAST,
+                     "--set", "optimizer.max_backtracks=1", "--set", "optimizer.initial_step=100"]) == 0
         solves = json.loads((out / "summary.json").read_text())["solves"]
         trials, backtracks = convergence_columns(out, "trials", "backtracks")
         assert any(t > bt + 1 for t, bt in zip(trials[1:], backtracks[1:]))
