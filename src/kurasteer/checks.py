@@ -20,6 +20,8 @@ DUALITY_TOL = 1e-12
 QUADRATURE_TOL = 1e-12
 MASS_TOL = 1e-8
 W_BOUND_TOL = 1e-6
+# the modes whose gradients check_gradients verifies
+CHECKED_MODES = (ControlMode.VELOCITY, ControlMode.INTERACTION, ControlMode.LINEAR_SOURCE)
 
 
 def check_spectral_identities(
@@ -122,7 +124,7 @@ def coarse_problem(runcfg: RunConfig, mode: ControlMode) -> OcpProblem:
 def check_gradients(runcfg: RunConfig) -> list[dict]:
     """Adjoint-vs-finite-difference verification for all three control modes."""
     out = []
-    for mode in (ControlMode.VELOCITY, ControlMode.INTERACTION, ControlMode.LINEAR_SOURCE):
+    for mode in CHECKED_MODES:
         problem = coarse_problem(runcfg, mode)
         report = gradient_check(problem, n_directions=runcfg.check["directions"], seed=runcfg.seed)
         out.append(

@@ -11,7 +11,7 @@ import pytest
 
 import kurasteer
 from kurasteer import ControlSet, CostWeights, CouplingParams, Field, OptimizerConfig, interaction_field, solve_state
-from kurasteer.checks import check_mass_and_bound
+from kurasteer.checks import CHECKED_MODES, check_mass_and_bound, coarse_problem
 from kurasteer.cli import main
 from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
 from kurasteer.grid import random_bandlimited
@@ -462,12 +462,16 @@ class TestCheck:
         assert main(["check", "--out", str(tmp_path / "chk"), *args]) == 1
         assert "n_directions >= 1" in capsys.readouterr().err
 
-    def test_tampered_gradient_fails(self, tmp_path, shift_gradient):
+    def test_tampered_gradient_fails(self, tmp_path, shift_gradient, passing_checks):
         out = tmp_path / "chk"
         shift_gradient(0.05)
         assert main(["check", "--out", str(out), *self.CHECK_FAST]) == 2
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
+        # every direction has a random space-time mean, so each mode's check
+        # of the command sees the error at every seed, with 2 directions or 5
+        runcfg = RunConfig.from_dict(load_config(None, self.CHECK_FAST[1::2]))
+        assert passing_checks([coarse_problem(runcfg, mode) for mode in CHECKED_MODES]) == []
 
 
 COLD_START = """
@@ -476,19 +480,29 @@ import json
 import sys
 
 import kurasteer, kurasteer.cli
+from kurasteer.checks import coarse_problem
+from kurasteer.config import RunConfig, load_config
 
 out, args = sys.argv[1], sys.argv[2:]
-codes = [kurasteer.cli.main([cmd, "--out", f"{out}/{cmd}", *args]) for cmd in ("simulate", "optimize", "check")]
+run = lambda cmd: kurasteer.cli.main([cmd, "--out", f"{out}/{cmd}", *args])
+codes = [run("simulate"), run("optimize")]
+runcfg = RunConfig.from_dict(load_config(None, args[1::2]))
+kurasteer.gradient_check(coarse_problem(runcfg, kurasteer.ControlMode.VELOCITY), n_directions=2)
+random_loads = "numpy.random" in sys.modules
+codes.append(run("check"))  # its spectral suites draw with numpy.random
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 kurasteer.bessel_ratio(1.0)
-print(json.dumps({"codes": codes, "loaded": loaded, "oracle_loads": "scipy.special" in sys.modules}))
+print(json.dumps({
+    "codes": codes, "loaded": loaded, "oracle_loads": "scipy.special" in sys.modules, "random_loads": random_loads,
+}))
 """
 
 
-def test_cold_start_loads_no_scipy(tmp_path):
-    # only the Bessel oracle needs scipy; importing the package and running
-    # each command must not load it (a fresh interpreter, so earlier tests
-    # that ran the oracle cannot hide an import)
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    """What a fresh interpreter (so that earlier tests cannot hide an import)
+    loads as it runs simulate, optimize, a gradient check and check, and then
+    the Bessel oracle."""
     src = str(Path(kurasteer.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [
@@ -498,13 +512,25 @@ def test_cold_start_loads_no_scipy(tmp_path):
         "--set", "check.directions=1",
     ]
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(tmp_path), *args],
+        [sys.executable, "-c", COLD_START, str(tmp_path_factory.mktemp("cold")), *args],
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0, 0]
-    assert result["loaded"] == []
-    assert result["oracle_loads"]
+    return result
+
+
+def test_cold_start_loads_no_scipy(cold_start):
+    # only the Bessel oracle needs scipy; importing the package and running
+    # each command must not load it
+    assert cold_start["loaded"] == []
+    assert cold_start["oracle_loads"]
+
+
+def test_cold_start_loads_no_numpy_random(cold_start):
+    # numpy.random costs about 6 MiB of RSS: simulate, optimize with no
+    # perturbation and gradient_check draw nothing with it
+    assert not cold_start["random_loads"]
 
 
 def run_benchmark(workload: str) -> None:

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -331,22 +332,22 @@ class TestGradientCheck:
         assert report.passed
         assert all(abs(d.adjoint_value) < 1e-12 for d in report.directions)
 
-    def test_tampered_gradient_fails(self, shift_gradient):
+    def test_tampered_gradient_fails(self, shift_gradient, passing_checks):
+        # every direction has a random space-time mean, so a uniform gradient
+        # error shows at every seed, with few directions and with the default
         shift_gradient(0.05)
-        report = gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0)
-        assert not report.passed
+        assert passing_checks([self.make_problem(ControlMode.VELOCITY)]) == []
 
     @pytest.mark.parametrize("n_directions", [0, -1])
     def test_no_directions_rejected(self, n_directions):
         with pytest.raises(ValueError, match="n_directions >= 1"):
             gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=n_directions)
 
-    def test_small_bias_fails(self, shift_gradient):
+    def test_small_bias_fails(self, shift_gradient, passing_checks):
         # a uniform shift of 1e-3 still shows at the smallest eps, where the
         # correct gradient reads below 1e-4
         shift_gradient(1e-3)
-        report = gradient_check(self.make_problem(ControlMode.VELOCITY), n_directions=2, seed=0)
-        assert not report.passed
+        assert passing_checks([self.make_problem(ControlMode.VELOCITY)]) == []
 
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
     def test_batched_differences_match_probe_by_probe(self, mode, monkeypatch):
@@ -444,7 +445,7 @@ class TestStreamedProbes:
             shape=shape, weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0, target=z,
             initial=ControlSet(u1=Trajectory.constant(grid, tgrid, 0.4)) if restricted else ControlSet(),
         )
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         u0 = _baseline_arrays(problem)
         deltas = {
             n: np.stack([shape_project(_smooth_direction(rng, grid, tgrid), shape, tgrid) for _ in range(n_dirs)])
