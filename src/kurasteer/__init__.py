@@ -5,13 +5,7 @@ reduced gradients for velocity, interaction-strength and additive-source
 controls, an Armijo descent loop, and independent validation oracles.
 """
 
-from .coupling import (
-    CouplingParams,
-    PolarOrder,
-    interaction_field,
-    interaction_field_adjoint,
-    order_parameter,
-)
+from .coupling import CouplingParams
 from .dynamics import (
     CFLError,
     ControlMode,
@@ -24,7 +18,7 @@ from .dynamics import (
     solve_adjoint,
     solve_state,
 )
-from .grid import CircleGrid, Field, ddtheta, integrate, random_bandlimited
+from .grid import CircleGrid, Field, random_bandlimited
 from .optimizer import (
     CostWeights,
     GradientCheckReport,
@@ -42,7 +36,7 @@ from .oracles import (
     FixedPointResult,
     ParticleEnsemble,
     bessel_ratio,
-    interaction_field_quadrature,
+    interaction_quadrature,
     simulate_particles,
     stationary_density,
     stationary_fixed_point,
@@ -69,20 +63,14 @@ __all__ = [
     "OptResult",
     "OptimizerConfig",
     "ParticleEnsemble",
-    "PolarOrder",
     "ResolutionWarning",
     "TimeGrid",
     "Trajectory",
     "bessel_ratio",
     "cost",
-    "ddtheta",
     "gradient_check",
-    "integrate",
-    "interaction_field",
-    "interaction_field_adjoint",
-    "interaction_field_quadrature",
+    "interaction_quadrature",
     "optimize",
-    "order_parameter",
     "random_bandlimited",
     "reduced_gradient",
     "simulate_particles",

@@ -1,9 +1,17 @@
-"""Sine-coupling functionals and the polar order parameter.
+"""The phase-lagged sine coupling and the polar order parameter.
 
-The phase-lagged sine kernel sin(theta' - theta - alpha) is a rank-2
-separable kernel, so both coupling integrals reduce to the two first
-circular moments of their argument. Evaluation is O(n) per call and exact;
-the O(n^2) quadrature equivalent lives in the oracles module.
+The kernel sin(theta' - theta - alpha) is rank 2 and separable:
+
+    sin(theta' - theta - alpha) = cos(theta')*(-sin(theta + alpha)) + sin(theta')*cos(theta + alpha),
+
+so the coupling w[f] = C_c*row0 + C_s*row1, with (C_c, C_s) the first
+circular moments of f and (row0, row1) the rows of kernel_table. That table
+is the one source of every coupling operator: the transposed kernel
+sin(theta - theta' - alpha) is minus the kernel with lag -alpha, which
+adjoint_kernel_table states once, and the state's Fourier-mode read and the
+adjoint solver's w* term take their tables from these two. Each operator
+acts on sample arrays (one row or a stack of rows) in O(n) per row and is
+exact; the O(n^2) quadrature equivalents live in the oracles module.
 """
 
 from __future__ import annotations
@@ -12,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, CircleGrid, ComplexArray, Field, FloatArray
-
-MASS_TOL = 1e-3
+from .grid import TWO_PI, CircleGrid, ComplexArray, FloatArray
 
 
 @dataclass(frozen=True)
@@ -33,14 +39,6 @@ class CouplingParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class PolarOrder:
-    """Coherence amplitude R in [0, 1] and mean-field phase psi in [0, 2*pi)."""
-
-    R: float
-    psi: float
-
-
 def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, FloatArray]:
     """First circular moments (integral of cos*v, integral of sin*v) of one
     sample row, or of every row of a stacked (n_rows, n_theta) array.
@@ -56,74 +54,59 @@ def moments_values(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, Fl
 def polar_order(grid: CircleGrid, values: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Coherence R = |C_c + i*C_s| and phase psi = arg(C_c + i*C_s) in
     [0, 2*pi) of one sample row, or of every row of a stack, from the first
-    circular moments."""
+    circular moments. For a normalized density R = 0 is incoherence and
+    R = 1 phase locking."""
     c_c, c_s = moments_values(grid, values)
     return np.hypot(c_c, c_s), np.mod(np.arctan2(c_s, c_c), TWO_PI)
 
 
-def order_parameter(q: Field) -> PolarOrder:
-    """Polar order parameter of a normalized density.
-
-    R = 0 is incoherence, R = 1 phase locking. Raises if the density mass
-    deviates from 1 by more than 1e-3 (caller passed an unnormalized field).
-    """
-    mass = q.grid.quad(q.values)
-    if abs(mass - 1.0) > MASS_TOL:
-        raise ValueError(f"order_parameter needs a normalized density; mass = {mass:.6g}")
-    R, psi = polar_order(q.grid, q.values)
-    return PolarOrder(R=float(R), psi=float(psi))
-
-
-def lagged_basis(grid: CircleGrid, alpha: float) -> tuple[FloatArray, FloatArray]:
-    """cos(theta + alpha) and sin(theta + alpha): the kernel is
-    sin(theta' - theta - alpha) = sin(theta')*cos(theta + alpha) - cos(theta')*sin(theta + alpha)."""
+def kernel_table(grid: CircleGrid, alpha: float) -> FloatArray:
+    """(2, n_theta) rows -sin(theta + alpha) and cos(theta + alpha): the
+    coupling of a sample with moments (C_c, C_s) is C_c*row0 + C_s*row1."""
     shifted = grid.theta + alpha
-    return np.cos(shifted), np.sin(shifted)
+    return np.stack((-np.sin(shifted), np.cos(shifted)))
+
+
+def adjoint_kernel_table(grid: CircleGrid, alpha: float) -> FloatArray:
+    """The table of w*, which satisfies <w[f], g> = <w*[g], f> for all f, g:
+    the transposed kernel sin(theta - theta' - alpha) is minus the kernel
+    with lag -alpha."""
+    return -kernel_table(grid, -alpha)
+
+
+def _apply(grid: CircleGrid, values: FloatArray, table: FloatArray) -> FloatArray:
+    """C_c*row0 + C_s*row1 for the moments of each row of values."""
+    c_c, c_s = moments_values(grid, values)
+    out = c_c[..., None] * table[0]
+    out += c_s[..., None] * table[1]
+    return out
 
 
 def interaction_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
-    """Transport velocity from the sine coupling, evaluated via moments.
+    """Coupling velocity w: the integral of sin(theta' - theta - alpha)
+    against the sample. For a normalized density with polar order (R, psi)
+    it is R*sin(psi - theta - alpha), so |w| <= 1. Accepts one row or a
+    stack of rows of any depth, like moments_values."""
+    return _apply(grid, values, kernel_table(grid, alpha))
 
-    Equals the integral of sin(theta' - theta - alpha) against the sample;
-    with moments (C_c, C_s) this is C_s*cos(theta+alpha) - C_c*sin(theta+alpha).
-    Accepts one row or a stack of rows of any depth, like moments_values.
-    """
-    c_c, c_s = moments_values(grid, values)
-    cos_a, sin_a = lagged_basis(grid, alpha)
-    w = c_s[..., None] * cos_a
-    w -= c_c[..., None] * sin_a
-    return w
+
+def adjoint_values(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
+    """Adjoint coupling w* of one row or a stack of rows (see
+    adjoint_kernel_table)."""
+    return _apply(grid, values, adjoint_kernel_table(grid, alpha))
 
 
 def interaction_coefficient_table(
     grid: CircleGrid, alpha: float, gain: FloatArray | float = 1.0
 ) -> ComplexArray:
-    """Table T = gain*i*dtheta*exp(i*(theta + alpha)) that reads the coupling
-    velocity off the rfft coefficients q^ of a sample: gain*w[q] = Re(q^_1 * T),
-    with q^_1 = rfft(q)[..., 1:2].
+    """Table T = gain*dtheta*(row0 + i*row1) of kernel_table that reads the
+    coupling velocity off the rfft coefficients q^ of a sample:
+    gain*w[q] = Re(q^_1 * T), with q^_1 = rfft(q)[..., 1:2].
 
     The kernel is rank 2, so w[q] lives in Fourier modes +-1:
-    rfft(q)[1] = (C_c - i*C_s)/dtheta, and
-    Re(q^_1 * i*dtheta*exp(i*(theta + alpha))) = C_s*cos(theta+alpha) - C_c*sin(theta+alpha),
-    which is interaction_values. gain is a scalar or an array that
+    rfft(q)[1] = (C_c - i*C_s)/dtheta, whose product with dtheta*(row0 + i*row1)
+    has the real part C_c*row0 + C_s*row1. gain is a scalar or an array that
     broadcasts against one row; T has the broadcast shape.
     """
-    return np.multiply(gain, 1j * grid.d_theta * np.exp(1j * (grid.theta + alpha)))
-
-
-def interaction_field(q: Field, alpha: float = 0.0) -> Field:
-    """Self-generated transport velocity w of the density (or any sample).
-
-    For a normalized density with order parameter (R, psi) this is exactly
-    R*sin(psi - theta - alpha), hence bounded by 1 in absolute value.
-    """
-    return Field(q.grid, interaction_values(q.grid, q.values, alpha))
-
-
-def interaction_field_adjoint(g: Field, alpha: float = 0.0) -> Field:
-    """Adjoint coupling w*: satisfies <w[f], g> = <w*[g], f> for all f, g.
-
-    The transposed kernel sin(theta - theta' - alpha) is minus the kernel
-    with lag -alpha, so w* is minus the coupling with lag -alpha.
-    """
-    return Field(g.grid, -interaction_values(g.grid, g.values, -alpha))
+    row0, row1 = kernel_table(grid, alpha)
+    return np.multiply(gain, grid.d_theta * (row0 + 1j * row1))

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 from numpy import add, multiply  # bound by name: a step makes more than a dozen of these calls
 
-from .coupling import CouplingParams, interaction_coefficient_table, interaction_values, lagged_basis
+from .coupling import CouplingParams, adjoint_kernel_table, interaction_coefficient_table, interaction_values
 from .grid import CircleGrid, ComplexArray, Field, FloatArray, transform_kernels
 
 CFL_SAFETY = 0.5
@@ -613,11 +613,11 @@ def _adjoint_rate(
     (r^ alone for a None gain) into out and returns r, with r = scale times
     the rate at row m, in a buffer made here.
     """
-    # w*[g] = C_c*sin(theta - alpha) - C_s*cos(theta - alpha) for moments (C_c, C_s)
-    # of g, the dot products of the row g with the moment basis times d_theta
+    # w*[g] = C_c*row0 + C_s*row1 of the adjoint kernel table for moments
+    # (C_c, C_s) of g, the dot products of the row g with the moment basis
+    # times d_theta
     basis = grid.moment_basis
-    cos_a, sin_a = lagged_basis(grid, -alpha)
-    lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
+    lagged = (scale * grid.d_theta) * adjoint_kernel_table(grid, alpha)
     blocks = row_blocks(len(q))
     held = None  # (first row, speed, carried, forcing) of the block being swept
     forward, one = transform_kernels(grid.n_theta)[:2]

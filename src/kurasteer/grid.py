@@ -101,10 +101,9 @@ class CircleGrid:
         ik.setflags(write=False)
         return ik
 
-    # -- array-level operators (hot path) --
-
     def deriv(self, values: FloatArray) -> FloatArray:
-        """Spectral d/dtheta of one sample row, or of every row of a stack."""
+        """Spectral d/dtheta of one sample row, or of every row of a stack;
+        exact for resolved modes, Nyquist mode dropped."""
         coef = rfft(values)
         return irfft(np.multiply(self._ik_first, coef, out=coef), self.n_theta)
 
@@ -154,16 +153,6 @@ class Field:
     @classmethod
     def constant(cls, grid: CircleGrid, value: float) -> "Field":
         return cls(grid, np.full(grid.n_theta, value))
-
-
-def ddtheta(f: Field) -> Field:
-    """Spectral derivative; exact for resolved modes, Nyquist mode dropped."""
-    return Field(f.grid, f.grid.deriv(f.values))
-
-
-def integrate(f: Field) -> float:
-    """Integral of f over the circle."""
-    return f.grid.quad(f.values)
 
 
 def random_bandlimited(

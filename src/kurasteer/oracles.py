@@ -20,21 +20,21 @@ from .grid import TWO_PI, CircleGrid, Field, FloatArray
 SYNC_THRESHOLD = 2.0  # coupling-to-diffusion ratio below which only R = 0 solves
 
 
-def interaction_field_quadrature(q: Field, alpha: float = 0.0) -> Field:
+def interaction_quadrature(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
     """O(n^2) direct quadrature of the sine coupling (reference path).
 
     w(theta_j) = d_theta * sum_j' sin(theta_j' - theta_j - alpha) * q_j'.
     """
-    th = q.grid.theta
+    th = grid.theta
     kernel = np.sin(th[None, :] - th[:, None] - alpha)
-    return Field(q.grid, kernel @ q.values * q.grid.d_theta)
+    return kernel @ values * grid.d_theta
 
 
-def interaction_adjoint_quadrature(g: Field, alpha: float = 0.0) -> Field:
+def adjoint_quadrature(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
     """O(n^2) direct quadrature of the transposed coupling."""
-    th = g.grid.theta
+    th = grid.theta
     kernel = np.sin(th[:, None] - th[None, :] - alpha)
-    return Field(g.grid, kernel @ g.values * g.grid.d_theta)
+    return kernel @ values * grid.d_theta
 
 
 def bessel_ratio(x: float) -> float:

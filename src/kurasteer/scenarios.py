@@ -43,14 +43,17 @@ def cast_setting(key: str, value: object, default: object):
 
 def read_samples(path: str | Path, count: int, key: str) -> np.ndarray:
     """The little-endian float64 samples of a raw file, which must hold
-    `count`; a read error or a wrong count names `key`, the setting that
-    named the file."""
+    `count` finite values; a read error, a wrong count or a non-finite
+    sample names `key`, the setting that named the file."""
     try:
         values = np.fromfile(path, dtype="<f8")
     except OSError as exc:
         raise ValueError(f"{key}: cannot read {str(path)!r}: {exc.strerror or exc}") from None
     if values.size != count:
         raise ValueError(f"{key}: {path} holds {values.size} samples, expected {count} (little-endian float64)")
+    if not np.isfinite(values).all():
+        i = np.argmin(np.isfinite(values))
+        raise ValueError(f"{key}: {path} holds a non-finite sample ({values[i]} at index {i})")
     return values
 
 
@@ -121,7 +124,9 @@ class DensitySpec:
 
     def build(self, grid: CircleGrid) -> Field:
         """The density on the grid; an out-of-range value stops it with an
-        error that names the value's config key (see `key`)."""
+        error that names the value's config key (see `key`), and negative or
+        zero-mass samples with one that names the setting they came from."""
+        key = self.key
         if self.kind == "uniform":
             raw = np.full(grid.n_theta, 1.0 / TWO_PI)
         elif self.kind == "wrapped_gaussian":
@@ -138,16 +143,17 @@ class DensitySpec:
             for i, (w, mu, sig) in enumerate(self.components):
                 raw += (w / total) * wrapped_gaussian_values(grid, mu, sig, f"{key}[{i}].sigma")
         elif self.kind == "from_file":
-            raw = read_samples(self.path, grid.n_theta, f"{self.key}.path")
+            key = f"{self.key}.path"
+            raw = read_samples(self.path, grid.n_theta, key)
         else:
             raise ValueError(f"{self.key}.kind must be one of {', '.join(map(repr, KIND_KEYS))}, got {self.kind!r}")
 
         if raw.min() < -1e-12:
-            raise ValueError(f"density is negative (min {raw.min():.3e})")
+            raise ValueError(f"{key}: density is negative (min {raw.min():.3e})")
         raw = np.maximum(raw, 0.0)
         mass = grid.quad(raw)
         if mass <= 0.0:
-            raise ValueError("density has zero mass")
+            raise ValueError(f"{key}: density has zero mass")
         f = Field(grid, raw / mass)
         assert abs(grid.quad(f.values) - 1.0) <= NORMALIZATION_TOL
         return f

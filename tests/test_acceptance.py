@@ -27,7 +27,6 @@ from kurasteer import (
     Trajectory,
     gradient_check,
     optimize,
-    order_parameter,
     solve_state,
     stationary_density,
     stationary_fixed_point,
@@ -35,6 +34,7 @@ from kurasteer import (
 )
 from kurasteer.checks import check_nonlocal_equivalence, check_spectral_identities
 from kurasteer.cli import main
+from kurasteer.coupling import polar_order
 from kurasteer.grid import random_bandlimited
 from kurasteer.oracles import (
     ParticleEnsemble,
@@ -243,7 +243,7 @@ def test_criterion_08_velocity_mode_end_to_end(scenario, baseline_run, velocity_
     z = target.values
     err_base = float(grid.quad((baseline.data[-1] - z) ** 2))
     err_ctrl = float(grid.quad((res.state.data[-1] - z) ** 2))
-    threshold = 0.9 * order_parameter(target).R
+    threshold = 0.9 * polar_order(grid, z)[0]
     tb, Rb, _, _ = sync_series(baseline)
     cross_base = crossing_time(tb, Rb, threshold)
     tc, Rc, _, _ = sync_series(res.state)
@@ -318,7 +318,7 @@ def test_criterion_09_interaction_mode_end_to_end(scenario, baseline_run):
     z = target.values
     err_base = float(grid.quad((baseline.data[-1] - z) ** 2))
     err_ctrl = float(grid.quad((res.state.data[-1] - z) ** 2))
-    threshold = 0.9 * order_parameter(target).R
+    threshold = 0.9 * polar_order(grid, z)[0]
     tb, Rb, _, _ = sync_series(baseline)
     cross_base = crossing_time(tb, Rb, threshold)
     tc, Rc, _, _ = sync_series(res.state)

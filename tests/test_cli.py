@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import kurasteer
-from kurasteer import ControlSet, CostWeights, CouplingParams, Field, OptimizerConfig, interaction_field, solve_state
-from kurasteer.checks import CHECKED_MODES, check_mass_and_bound, coarse_problem
+from kurasteer import ControlMode, ControlSet, CostWeights, CouplingParams, OptimizerConfig, solve_state
+from kurasteer.checks import check_mass_and_bound, coarse_problem, run_all_checks
 from kurasteer.cli import main
 from kurasteer.config import DEFAULT_CONFIG, RunConfig, apply_override, load_config, parse_override
+from kurasteer.coupling import interaction_values
 from kurasteer.grid import random_bandlimited
 from kurasteer.outputs import read_field_file
 
@@ -190,6 +191,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert str(path) in err and "17 samples" in err and f"expected {101 * 32}" in err
         assert "initial_controls.u1_file" in err
+
+    def test_non_finite_control_file_hard_error(self, tmp_path, capsys):
+        path = tmp_path / "u1.f64"
+        values = np.zeros(101 * 32)
+        values[40] = np.nan
+        values.astype("<f8").tofile(path)
+        args = ["--set", f"initial_controls.u1_file={path}"]
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, *args])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"initial_controls.u1_file: {path} holds a non-finite sample" in err
+        assert not (tmp_path / "x" / "summary.json").exists()
 
     @pytest.mark.parametrize(
         "name, reason", [("missing.f64", "No such file"), ("", "Is a directory")], ids=["missing", "directory"]
@@ -448,14 +461,29 @@ class TestCheck:
         assert "gradient_check_velocity" in names
         assert "gradient_check_interaction" in names
         assert "gradient_check_linear_source" in names
+        assert "gradient_check_joint" in names
 
     def test_mass_and_bound_is_row_by_row_exact(self):
         overrides = ["discretization.n_t=600", "discretization.T=3.0", "physics.alpha=0.5"]
         runcfg = RunConfig.from_dict(load_config(None, overrides))
         traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-        rows = [interaction_field(Field(runcfg.grid, traj.data[k]), 0.5).values for k in range(runcfg.tgrid.n_t + 1)]
+        rows = [interaction_values(runcfg.grid, traj.data[k], 0.5) for k in range(runcfg.tgrid.n_t + 1)]
         w_max = max(float(np.max(np.abs(w))) for w in rows)
         assert check_mass_and_bound(runcfg)["max_transport_field"] == w_max
+
+    def test_unflipped_adjoint_lag_fails(self, monkeypatch):
+        # w*'s table with the lag left unflipped, wherever the table is bound:
+        # the spectral suites draw their own lags, so they see the error on a
+        # config of zero lag, where the solvers' tables agree
+        unflipped = lambda grid, alpha: -kurasteer.coupling.kernel_table(grid, alpha)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kurasteer") and hasattr(module, "adjoint_kernel_table"):
+                monkeypatch.setattr(module, "adjoint_kernel_table", unflipped)
+        runcfg = RunConfig.from_dict(load_config(None, self.CHECK_FAST[1::2]))
+        assert runcfg.params.alpha == 0.0
+        report = run_all_checks(runcfg)
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert {"spectral_identities", "nonlocal_equivalence"} <= failed
 
     def test_zero_directions_hard_error(self, tmp_path, capsys):
         args = [a.replace('"directions":2', '"directions":0') for a in self.CHECK_FAST]
@@ -471,7 +499,7 @@ class TestCheck:
         # every direction has a random space-time mean, so each mode's check
         # of the command sees the error at every seed, with 2 directions or 5
         runcfg = RunConfig.from_dict(load_config(None, self.CHECK_FAST[1::2]))
-        assert passing_checks([coarse_problem(runcfg, mode) for mode in CHECKED_MODES]) == []
+        assert passing_checks([coarse_problem(runcfg, mode) for mode in ControlMode]) == []
 
 
 COLD_START = """

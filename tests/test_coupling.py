@@ -7,16 +7,18 @@ from kurasteer import (
     CouplingParams,
     Field,
     TimeGrid,
-    integrate,
-    interaction_field,
-    interaction_field_adjoint,
-    order_parameter,
     solve_state,
     sync_series,
 )
-from kurasteer.coupling import interaction_coefficient_table, interaction_values, moments_values
+from kurasteer.coupling import (
+    adjoint_values,
+    interaction_coefficient_table,
+    interaction_values,
+    moments_values,
+    polar_order,
+)
 from kurasteer.grid import random_bandlimited
-from kurasteer.oracles import interaction_adjoint_quadrature, interaction_field_quadrature
+from kurasteer.oracles import adjoint_quadrature, interaction_quadrature
 from kurasteer.scenarios import DensitySpec
 
 
@@ -49,98 +51,82 @@ class TestMoments:
 
 class TestOrderParameter:
     def test_uniform_incoherent(self, grid):
-        op = order_parameter(Field.constant(grid, 1 / (2 * np.pi)))
-        assert op.R <= 1e-14
+        R, _ = polar_order(grid, Field.constant(grid, 1 / (2 * np.pi)).values)
+        assert R <= 1e-14
 
     def test_cosine_density(self, cosine_density):
-        op = order_parameter(cosine_density)
-        assert op.R == pytest.approx(0.5, abs=1e-12)
-        assert op.psi == pytest.approx(0.0, abs=1e-12) or op.psi == pytest.approx(
-            2 * np.pi, abs=1e-12
-        )
+        R, psi = polar_order(cosine_density.grid, cosine_density.values)
+        assert R == pytest.approx(0.5, abs=1e-12)
+        assert psi == pytest.approx(0.0, abs=1e-12) or psi == pytest.approx(2 * np.pi, abs=1e-12)
 
     def test_narrow_gaussian_phase_locked(self, grid):
         q = DensitySpec(kind="wrapped_gaussian", mean=3 * np.pi / 2, sigma=0.02).build(grid)
-        op = order_parameter(q)
-        assert op.R == pytest.approx(1.0, abs=1e-3)
-        assert op.psi == pytest.approx(3 * np.pi / 2, abs=1e-6)
-
-    def test_unnormalized_rejected(self, grid):
-        with pytest.raises(ValueError):
-            order_parameter(Field.constant(grid, 1.0))
+        R, psi = polar_order(grid, q.values)
+        assert R == pytest.approx(1.0, abs=1e-3)
+        assert psi == pytest.approx(3 * np.pi / 2, abs=1e-6)
 
     def test_shift_equivariance(self, grid, rng):
         q = DensitySpec(kind="wrapped_gaussian", mean=1.0, sigma=0.5).build(grid)
+        R, psi = polar_order(grid, q.values)
         for shift_nodes in (1, 17, 64):
             delta = shift_nodes * grid.d_theta
-            shifted = Field(grid, np.roll(q.values, shift_nodes))
-            a, b = order_parameter(q), order_parameter(shifted)
-            assert b.R == pytest.approx(a.R, abs=1e-10)
-            assert (b.psi - a.psi) % (2 * np.pi) == pytest.approx(delta, abs=1e-10)
+            R_shifted, psi_shifted = polar_order(grid, np.roll(q.values, shift_nodes))
+            assert R_shifted == pytest.approx(R, abs=1e-10)
+            assert (psi_shifted - psi) % (2 * np.pi) == pytest.approx(delta, abs=1e-10)
 
     def test_sync_series_is_order_parameter_of_every_row(self, coarse_grid):
-        # the series that timeseries.csv and summary.json report and the
-        # one-density order parameter come from the same polar_order
+        # the series that timeseries.csv and summary.json report is
+        # polar_order of each row, however the rows are stacked
         params = CouplingParams(alpha=0.5, D=0.25, K=1.3)
         q0 = DensitySpec(kind="wrapped_gaussian", mean=1.0, sigma=0.6).build(coarse_grid)
         traj = solve_state(q0, ControlSet(), params, TimeGrid(1.0, 200))
         _, R, psi, _ = sync_series(traj)
-        rows = [order_parameter(Field(coarse_grid, row)) for row in traj.data]
-        assert np.array_equal(R, [op.R for op in rows])
-        assert np.array_equal(psi, [op.psi for op in rows])
+        rows = [polar_order(coarse_grid, row) for row in traj.data]
+        assert np.array_equal(R, [R_k for R_k, _ in rows])
+        assert np.array_equal(psi, [psi_k for _, psi_k in rows])
 
 
 class TestInteractionField:
     def test_uniform_vanishes(self, grid):
-        q = Field.constant(grid, 1 / (2 * np.pi))
+        q = np.full(grid.n_theta, 1 / (2 * np.pi))
         for alpha in (0.0, 0.4, np.pi / 2):
-            assert np.max(np.abs(interaction_field(q, alpha).values)) <= 1e-14
+            assert np.max(np.abs(interaction_values(grid, q, alpha))) <= 1e-14
 
     def test_cosine_density_zero_lag(self, grid, cosine_density):
-        w = interaction_field(cosine_density, 0.0)
-        assert np.max(np.abs(w.values + np.sin(grid.theta) / 2)) <= 1e-12
+        w = interaction_values(grid, cosine_density.values, 0.0)
+        assert np.max(np.abs(w + np.sin(grid.theta) / 2)) <= 1e-12
 
     def test_cosine_density_quarter_lag(self, grid, cosine_density):
-        w = interaction_field(cosine_density, np.pi / 2)
-        assert np.max(np.abs(w.values + np.cos(grid.theta) / 2)) <= 1e-12
+        w = interaction_values(grid, cosine_density.values, np.pi / 2)
+        assert np.max(np.abs(w + np.cos(grid.theta) / 2)) <= 1e-12
 
     def test_adjoint_kernel_cosine_density(self, grid, cosine_density):
-        ws = interaction_field_adjoint(cosine_density, 0.0)
-        assert np.max(np.abs(ws.values - np.sin(grid.theta) / 2)) <= 1e-12
+        ws = adjoint_values(grid, cosine_density.values, 0.0)
+        assert np.max(np.abs(ws - np.sin(grid.theta) / 2)) <= 1e-12
 
     def test_adjoint_kernel_constant_vanishes(self, grid):
-        g = Field.constant(grid, 0.3)
-        assert np.max(np.abs(interaction_field_adjoint(g, 1.1).values)) <= 1e-13
+        g = np.full(grid.n_theta, 0.3)
+        assert np.max(np.abs(adjoint_values(grid, g, 1.1))) <= 1e-13
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_matches_quadrature_oracle(self, n, rng):
         grid = CircleGrid(n)
         for _ in range(40):
-            f = random_bandlimited(grid, rng)
+            f = random_bandlimited(grid, rng).values
             alpha = rng.uniform(0, 2 * np.pi)
-            scale = max(1.0, np.max(np.abs(f.values)))
-            err_w = np.max(
-                np.abs(
-                    interaction_field(f, alpha).values
-                    - interaction_field_quadrature(f, alpha).values
-                )
-            )
-            err_ws = np.max(
-                np.abs(
-                    interaction_field_adjoint(f, alpha).values
-                    - interaction_adjoint_quadrature(f, alpha).values
-                )
-            )
+            scale = max(1.0, np.max(np.abs(f)))
+            err_w = np.max(np.abs(interaction_values(grid, f, alpha) - interaction_quadrature(grid, f, alpha)))
+            err_ws = np.max(np.abs(adjoint_values(grid, f, alpha) - adjoint_quadrature(grid, f, alpha)))
             assert err_w / scale <= 1e-12
             assert err_ws / scale <= 1e-12
 
     def test_duality_identity(self, grid, rng):
         for _ in range(100):
-            f = random_bandlimited(grid, rng)
-            g = random_bandlimited(grid, rng)
+            f = random_bandlimited(grid, rng).values
+            g = random_bandlimited(grid, rng).values
             alpha = rng.uniform(0, 2 * np.pi)
-            lhs = integrate(Field(grid, interaction_field(f, alpha).values * g.values))
-            rhs = integrate(Field(grid, interaction_field_adjoint(g, alpha).values * f.values))
+            lhs = grid.quad(interaction_values(grid, f, alpha) * g)
+            rhs = grid.quad(adjoint_values(grid, g, alpha) * f)
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) / scale <= 1e-12
 
@@ -148,20 +134,20 @@ class TestInteractionField:
         # |w| <= 1 whenever the argument is a normalized nonnegative density
         for _ in range(50):
             raw = np.abs(random_bandlimited(grid, rng).values) + 1e-3
-            q = Field(grid, raw / grid.quad(raw))
+            q = raw / grid.quad(raw)
             alpha = rng.uniform(0, 2 * np.pi)
-            assert np.max(np.abs(interaction_field(q, alpha).values)) <= 1.0 + 1e-9
+            assert np.max(np.abs(interaction_values(grid, q, alpha))) <= 1.0 + 1e-9
 
     def test_bounded_by_total_variation_generally(self, grid, rng):
-        f = random_bandlimited(grid, rng)
-        bound = grid.quad(np.abs(f.values))
-        assert np.max(np.abs(interaction_field(f, 0.3).values)) <= bound + 1e-9
+        f = random_bandlimited(grid, rng).values
+        bound = grid.quad(np.abs(f))
+        assert np.max(np.abs(interaction_values(grid, f, 0.3))) <= bound + 1e-9
 
 
 class TestStackedRows:
     """The coupling helpers act row by row on stacks of any depth."""
 
-    @pytest.mark.parametrize("helper", [interaction_values])
+    @pytest.mark.parametrize("helper", [interaction_values, adjoint_values])
     @pytest.mark.parametrize("stack_shape", [(3,), (16,), (2, 3)])
     def test_matches_row_by_row(self, rng, helper, stack_shape):
         grid = CircleGrid(16)

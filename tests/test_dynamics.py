@@ -14,18 +14,16 @@ from kurasteer import (
     ResolutionWarning,
     TimeGrid,
     Trajectory,
-    integrate,
-    interaction_field,
     solve_adjoint,
     solve_state,
     sync_series,
 )
 from kurasteer import dynamics
-from kurasteer.coupling import interaction_coefficient_table, interaction_values, lagged_basis
+from kurasteer.coupling import adjoint_kernel_table, adjoint_values, interaction_coefficient_table, interaction_values
 from kurasteer.dynamics import ROW_BLOCK, _adjoint_rate, _solve_states, _state_rate, first_non_finite
 from kurasteer.grid import random_bandlimited, rfft
 from kurasteer.outputs import write_field_file
-from kurasteer.oracles import interaction_field_quadrature, stationary_fixed_point
+from kurasteer.oracles import interaction_quadrature, stationary_fixed_point
 from kurasteer.scenarios import DensitySpec
 
 
@@ -152,8 +150,8 @@ class TestStateRhs:
         q = cosine_density
         zero = np.zeros(grid.n_theta)
         rhs = rate_values(grid, state_rhs(grid, q.values, zero, np.ones(grid.n_theta), params.alpha, zero))
-        w_oracle = interaction_field_quadrature(q, params.alpha)
-        expected = -grid.deriv(w_oracle.values * q.values)
+        w_oracle = interaction_quadrature(grid, q.values, params.alpha)
+        expected = -grid.deriv(w_oracle * q.values)
         assert np.max(np.abs(rhs - expected)) <= 1e-10
 
     def test_grid_mismatch(self, grid, params):
@@ -202,8 +200,8 @@ class TestSolveState:
         tg = TimeGrid(10.0, 2000)
         traj = solve_state(gaussian_q0(grid), ControlSet(), params, tg)
         for k in range(0, tg.n_t + 1, 50):
-            w = interaction_field(Field(grid, traj.data[k]), params.alpha)
-            assert np.max(np.abs(w.values)) <= 1.0 + 1e-6
+            w = interaction_values(grid, traj.data[k], params.alpha)
+            assert np.max(np.abs(w)) <= 1.0 + 1e-6
 
     def test_approximate_positivity_default_resolution(self, grid, params):
         traj = solve_state(gaussian_q0(grid), ControlSet(), params, TimeGrid(10.0, 2000))
@@ -232,7 +230,7 @@ class TestSolveState:
         tg = TimeGrid(1.0, 200)
         src = Trajectory.constant(grid, tg, 0.1 / (2 * np.pi))
         traj = solve_state(gaussian_q0(grid), ControlSet(source=src), params, tg)
-        assert integrate(Field(grid, traj.data[tg.n_t])) == pytest.approx(1.1, abs=1e-6)
+        assert grid.quad(traj.data[tg.n_t]) == pytest.approx(1.1, abs=1e-6)
 
     def test_allocates_one_history(self, coarse_grid, params, traced_peak):
         # the stepped rows, adopted by the Trajectory without a copy, plus
@@ -271,15 +269,13 @@ class TestAdjoint:
 
     def test_duality_spot_check(self, grid, params, rng):
         # <w*[u2 p' q], psi> == <w[psi], u2 p' q> for random band-limited fields
-        from kurasteer import interaction_field_adjoint
-
         p = random_bandlimited(grid, rng)
         q = random_bandlimited(grid, rng)
         psi = random_bandlimited(grid, rng)
         u2 = 1.0 + 0.5 * np.cos(grid.theta)
         inner_arg = u2 * grid.deriv(p.values) * q.values
-        lhs = grid.quad(interaction_field_adjoint(Field(grid, inner_arg), params.alpha).values * psi.values)
-        rhs = grid.quad(interaction_field(psi, params.alpha).values * inner_arg)
+        lhs = grid.quad(adjoint_values(grid, inner_arg, params.alpha) * psi.values)
+        rhs = grid.quad(interaction_values(grid, psi.values, params.alpha) * inner_arg)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
     def test_target_equals_state_gives_zero_adjoint(self, grid, params):
@@ -304,8 +300,6 @@ class TestAdjoint:
     def test_linear_source_specialization(self, grid, params, rng):
         # with u2 = K = 1 and zero lag the adjoint kernel flips sign, so the
         # general backward rate reduces to w[q] p' - w[q p'] + mismatch
-        from kurasteer.coupling import interaction_values
-
         p = random_bandlimited(grid, rng).values
         q = random_bandlimited(grid, rng).values
         mis = random_bandlimited(grid, rng).values
@@ -329,8 +323,7 @@ def whole_history_adjoint_rate(grid, alpha, q, z, u1, u2, alpha_r, scale, gains)
     speed *= scale
     carried = u2 * q
     basis = grid.moment_basis
-    cos_a, sin_a = lagged_basis(grid, -alpha)
-    lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
+    lagged = (scale * grid.d_theta) * adjoint_kernel_table(grid, alpha)
     forcing = None
     if alpha_r != 0.0:
         forcing = q - z
@@ -428,8 +421,7 @@ def reference_adjoint(q, z, u1, u2, params, weights, tg):
     speed = (interaction_values(grid, qd, params.alpha) * u2 + u1) * scale
     carried = u2 * qd
     forcing = (qd - zd) * (scale * alpha_r)
-    cos_a, sin_a = lagged_basis(grid, -params.alpha)
-    lagged = (scale * grid.d_theta) * np.stack((sin_a, -cos_a))
+    lagged = (scale * grid.d_theta) * adjoint_kernel_table(grid, params.alpha)
     gain = 2.0 * prop
 
     def rate(m, dp, stage):
