@@ -20,19 +20,19 @@ DUALITY_TOL = 1e-12
 QUADRATURE_TOL = 1e-12
 MASS_TOL = 1e-8
 W_BOUND_TOL = 1e-6
+N_SAMPLES = 100  # random fields (or pairs) per grid size of the spectral suites
+SIZES = (16, 64, 128)  # the grid sizes of the spectral suites
 
 
-def check_spectral_identities(
-    seed: int = 0, n_pairs: int = 100, sizes: tuple[int, ...] = (16, 64, 128)
-) -> dict:
+def check_spectral_identities(seed: int = 0) -> dict:
     """Green identity <f', g> = -<f, g'> and coupling duality
     <w[f], g> = <w*[g], f>, on the operators that the solvers run."""
     rng = np.random.default_rng(seed)
     max_green = 0.0
     max_dual = 0.0
-    for n in sizes:
+    for n in SIZES:
         grid = CircleGrid(n)
-        for _ in range(n_pairs):
+        for _ in range(N_SAMPLES):
             f = random_bandlimited(grid, rng).values
             g = random_bandlimited(grid, rng).values
             green = grid.quad(grid.deriv(f) * g) + grid.quad(f * grid.deriv(g))
@@ -49,16 +49,14 @@ def check_spectral_identities(
     }
 
 
-def check_nonlocal_equivalence(
-    seed: int = 1, n_fields: int = 100, sizes: tuple[int, ...] = (16, 64, 128)
-) -> dict:
+def check_nonlocal_equivalence(seed: int = 1) -> dict:
     """The coupling, its adjoint and the state's read of the coupling off
     rfft mode 1 against the O(n^2) quadrature path."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n in sizes:
+    for n in SIZES:
         grid = CircleGrid(n)
-        for _ in range(n_fields):
+        for _ in range(N_SAMPLES):
             f = random_bandlimited(grid, rng).values
             alpha = rng.uniform(0.0, 2 * np.pi)
             w = interaction_quadrature(grid, f, alpha)

@@ -60,8 +60,16 @@ logger = logging.getLogger(__name__)
 
 GRADCHECK_TOL = 1e-3
 EPS_SWEEP = np.logspace(-1, -5, 9)  # gradient_check's finite-difference steps, descending
-MIN_BACKTRACK = 0.1  # the smallest factor on the step after a rejected trial
 SOBOLEV_LENGTH = 1.0  # l of the descent metric M = I - l**2 d^2/dtheta^2, in radians
+# Armijo backtracking, read by optimize when it is called
+ARMIJO_C = 1e-4  # sufficient-decrease constant c1 (Nocedal & Wright 2006, 3.1)
+INITIAL_STEP = 1.0  # the first search's first step
+BACKTRACK_FACTOR = 0.5  # the largest factor on the step after a rejected trial
+MIN_BACKTRACK = 0.1  # the smallest factor on the step after a rejected trial
+MAX_BACKTRACKS = 40  # rejected trials before a search, and the run, stalls
+# stopping rules
+GRAD_TOL = 1e-8  # on the L2 norm of the gradient, not of the direction
+COST_REL_TOL = 1e-12  # on the decrease of J per iteration, relative to J
 
 
 @dataclass(frozen=True)
@@ -98,36 +106,15 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Armijo backtracking settings of the Sobolev-gradient descent.
-
-    The line search warm-starts from (a multiple of) the last accepted step;
-    initial_step seeds the first iteration. A rejected trial cuts the step by
-    at most backtrack_factor: a quadratic fit of its cost chooses a factor
-    between MIN_BACKTRACK and backtrack_factor (see optimize). grad_tol
-    bounds the L2 norm of the gradient, not of the direction. The metric's
-    length SOBOLEV_LENGTH is fixed, not a setting.
-    """
+    """The descent's one setting: the iteration budget. The line search and
+    the stopping rules are the module constants ARMIJO_C to COST_REL_TOL,
+    and the metric's length is SOBOLEV_LENGTH (see optimize)."""
 
     max_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
-    grad_tol: float = 1e-8
-    cost_rel_tol: float = 1e-12
-    max_backtracks: int = 40
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        for name in ("initial_step", "grad_tol", "cost_rel_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,6 +156,7 @@ class IterationRecord:
 class OptResult:
     """Outcome of optimize; sync_series(result.state) gives its R, psi and mass.
 
+    status is "converged_grad", "converged_cost", "max_iters" or "stalled".
     state_solves is 1 + line_search_trials (the start and every trial control
     that was solved), adjoint_solves is 1 + the accepted steps. A "stalled"
     run adds one to each: the descent does not hold the state and adjoint of
@@ -429,18 +417,20 @@ def optimize(problem: OcpProblem) -> OptResult:
     J(u - s*e) <= J(u) - c*s*<g, e>. After a rejected trial at step s
     the next step is s times the minimizer of the quadratic through J(u),
     the predicted slope and the trial's cost, as a fraction of s, kept within
-    [MIN_BACKTRACK, backtrack_factor]; a trial that fails to integrate, or a
-    candidate with no predicted decrease, cuts the step by backtrack_factor.
-    If a line search exhausts its backtracks from the current starting step,
-    it retries once from 1/100 of that step before the run stops with status
-    "stalled", keeping the best iterate found.
+    [MIN_BACKTRACK, BACKTRACK_FACTOR]; a trial that fails to integrate, or a
+    candidate with no predicted decrease, cuts the step by BACKTRACK_FACTOR.
+    Each iteration runs one search, from INITIAL_STEP at the first and then
+    from the last accepted step, doubled when it was accepted at its first
+    trial. A search whose MAX_BACKTRACKS rejections are used up stops the
+    run with status "stalled", keeping the best iterate found. The module
+    constants are read at the call.
 
     The line search reads neither the state nor the adjoint of its start,
     nor g, and the descent does not hold them through it: a stalled run
     solves both again at the control it returns (see OptResult).
     """
     grid, tgrid, params = problem.grid, problem.tgrid, problem.params
-    mode, weights, cfg = problem.mode, problem.weights, problem.optimizer
+    mode, weights = problem.mode, problem.weights
     tracking = (weights.alpha_r, weights.alpha_t)
     caps = _advective_caps(problem)
     trials = 0
@@ -467,29 +457,20 @@ def optimize(problem: OcpProblem) -> OptResult:
             # predicted decrease <g, u - P(u - s e)>; equals s*<g, e> unclipped
             pred += _quadrature(grid, tgrid, _row_sums(arr.shape, fill))
         if not pred > 0.0:
-            return None, cfg.backtrack_factor
+            return None, BACKTRACK_FACTOR
         trials += 1
         try:
             cs_try, q_try, costs = _evaluate(problem, u_try)
         except (CFLError, NumericsError):
-            return None, cfg.backtrack_factor
-        if costs[0] <= j_cur - cfg.armijo_c * pred:
+            return None, BACKTRACK_FACTOR
+        if costs[0] <= j_cur - ARMIJO_C * pred:
             return (u_try, cs_try, q_try, costs), None
         # safeguarded quadratic backtracking (Dennis & Schnabel 1983, 6.3.2):
         # the fraction of s at which the quadratic through j_cur, with slope
         # -pred/s, and through costs[0] at s is least; below 1/(2(1 - c))
         # here, since the trial was rejected
         ratio = pred / (2.0 * (costs[0] - j_cur + pred))
-        return None, max(MIN_BACKTRACK, min(cfg.backtrack_factor, ratio))
-
-    def armijo(u, e, j_cur, s_start):
-        s = s_start
-        for bt in range(cfg.max_backtracks + 1):
-            hit, factor = trial(u, e, s, j_cur)
-            if hit is not None:
-                return s, bt, *hit
-            s *= factor
-        return None
+        return None, max(MIN_BACKTRACK, min(BACKTRACK_FACTOR, ratio))
 
     u = _baseline_arrays(problem)
     cs, q_traj, (j, j_q, j_u) = _evaluate(problem, u)
@@ -499,24 +480,23 @@ def optimize(problem: OcpProblem) -> OptResult:
     records: list[IterationRecord] = []
     status = "max_iters"
     step_used, bt_used, trials_used = 0.0, 0, 0
-    s_start = cfg.initial_step
+    s = INITIAL_STEP  # the next search's first step
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(problem.optimizer.max_iters + 1):
         g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
         gn = _grad_norm(grid, tgrid, g)
         records.append(IterationRecord(it, j, j_q, j_u, gn, step_used, bt_used, trials_used))
         logger.info("iter %3d  J=%.9e  |grad|=%.3e  step=%.2e  bt=%d", it, j, gn, step_used, bt_used)
 
-        if gn <= cfg.grad_tol:
+        if gn <= GRAD_TOL:
             status = "converged_grad"
             break
         if len(records) >= 2:
             decrease = records[-2].J - records[-1].J
-            if decrease <= cfg.cost_rel_tol * max(abs(records[-2].J), 1e-300):
+            if decrease <= COST_REL_TOL * max(abs(records[-2].J), 1e-300):
                 status = "converged_cost"
                 break
-        if it == cfg.max_iters:
-            status = "max_iters"
+        if it == problem.optimizer.max_iters:
             break
 
         # the line search reads neither the state nor the adjoint, nor g,
@@ -526,10 +506,12 @@ def optimize(problem: OcpProblem) -> OptResult:
         del g
 
         trials_before = trials
-        hit = armijo(u, e, j, s_start)
-        if hit is None:
-            hit = armijo(u, e, j, s_start / 100.0)
-        if hit is None:
+        for bt in range(MAX_BACKTRACKS + 1):
+            hit, factor = trial(u, e, s, j)
+            if hit is not None:
+                break
+            s *= factor
+        else:
             status = "stalled"
             del e
             cs, q_traj, _ = _evaluate(problem, u)
@@ -537,13 +519,14 @@ def optimize(problem: OcpProblem) -> OptResult:
             state_solves += 1
             adjoint_solves += 1
             break
-        s_acc, bt, u, cs, q_traj, (j, j_q, j_u) = hit
+        u, cs, q_traj, (j, j_q, j_u) = hit
         # the old direction is not read again
         del hit, e
         p_traj = solve_adjoint(q_traj, problem.target, cs, params, tracking)
         adjoint_solves += 1
-        step_used, bt_used, trials_used = s_acc, bt, trials - trials_before
-        s_start = 2.0 * s_acc if bt == 0 else s_acc
+        step_used, bt_used, trials_used = s, bt, trials - trials_before
+        if bt == 0:
+            s *= 2.0
 
     warn_if_negative(q_traj.data, "optimized state")
     return OptResult(

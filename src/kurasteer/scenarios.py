@@ -58,13 +58,19 @@ def read_samples(path: str | Path, count: int, key: str) -> np.ndarray:
 
 
 def wrapped_gaussian_values(grid: CircleGrid, mean: float, sigma: float, key: str) -> np.ndarray:
-    """Wrapped normal density on the grid; `key` names sigma in its error."""
+    """Wrapped normal density on the grid; `key` names sigma in its errors,
+    for sigma <= 0 and for a sigma so narrow that every sample underflows."""
     if sigma <= 0.0:
         raise ValueError(f"{key} must be > 0, got {sigma}")
     th = grid.theta
     acc = np.zeros(grid.n_theta)
     for m in range(-N_WRAPS, N_WRAPS + 1):
         acc += np.exp(-0.5 * ((th - mean + TWO_PI * m) / sigma) ** 2)
+    if not acc.any():
+        raise ValueError(
+            f"{key} = {sigma} is too narrow for the grid spacing 2*pi/n_theta = {grid.d_theta:.6g}: "
+            "every sample is 0"
+        )
     return acc / (sigma * np.sqrt(TWO_PI))
 
 

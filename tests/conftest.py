@@ -69,6 +69,15 @@ def shift_gradient(monkeypatch):
 
 
 @pytest.fixture
+def stalling_search(monkeypatch):
+    """Line-search constants under which no trial passes, for the rest of the
+    test: a first step of 1e12, one backtrack and an Armijo constant of
+    0.999, so the first search stalls after two trials."""
+    for name, value in [("INITIAL_STEP", 1e12), ("MAX_BACKTRACKS", 1), ("ARMIJO_C", 0.999)]:
+        monkeypatch.setattr(optimizer, name, value)
+
+
+@pytest.fixture
 def passing_checks():
     """passing_checks(problems) lists (mode, n_directions, seed) for every
     gradient check of a problem, with 2 directions and with 5 at seeds 0-39,

@@ -32,7 +32,7 @@ from kurasteer import (
     stationary_fixed_point,
     sync_series,
 )
-from kurasteer.checks import check_nonlocal_equivalence, check_spectral_identities
+from kurasteer.checks import N_SAMPLES, SIZES, check_nonlocal_equivalence, check_spectral_identities
 from kurasteer.cli import main
 from kurasteer.coupling import polar_order
 from kurasteer.grid import random_bandlimited
@@ -93,7 +93,8 @@ def coarse_problem(mode, n_theta=64, n_t=200, T=1.0, initial=ControlSet()):
 
 def test_criterion_01_spectral_identities():
     t0 = time.time()
-    out = check_spectral_identities(seed=0, n_pairs=100, sizes=(16, 64, 128))
+    assert (N_SAMPLES, SIZES) == (100, (16, 64, 128))  # pairs per size
+    out = check_spectral_identities(seed=0)
     verdict(
         1, out["passed"], 5.0, time.time() - t0,
         f"Green residual {out['max_green_residual']:.2e} <= 1e-10, "
@@ -103,7 +104,8 @@ def test_criterion_01_spectral_identities():
 
 def test_criterion_02_nonlocal_operator_equivalence():
     t0 = time.time()
-    out = check_nonlocal_equivalence(seed=1, n_fields=100, sizes=(16, 64, 128))
+    assert (N_SAMPLES, SIZES) == (100, (16, 64, 128))  # fields per size
+    out = check_nonlocal_equivalence(seed=1)
     verdict(
         2, out["passed"], 5.0, time.time() - t0,
         f"moment-identity vs O(n^2) quadrature residual {out['max_residual']:.2e} <= 1e-12",

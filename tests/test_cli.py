@@ -115,7 +115,7 @@ class TestConfig:
             ("weights.penalize_absolute_u2=False", "weights.penalize_absolute_u2"),
             ("weights.penalize_absolute_u2=1", "weights.penalize_absolute_u2"),
             ("optimizer.max_iters=5.9", "optimizer.max_iters"),
-            ("optimizer.max_backtracks=true", "optimizer.max_backtracks"),
+            ("discretization.n_t=true", "discretization.n_t"),
             ("physics.D=fast", "physics.D"),
             # every count a whole number and every number finite, in every section
             ("discretization.n_theta=64.9", "discretization.n_theta"),
@@ -124,7 +124,7 @@ class TestConfig:
             ("seed=1.5", "seed"),
             ("physics.D=NaN", "physics.D"),
             ("weights.beta1=NaN", "weights.beta1"),
-            ("optimizer.grad_tol=NaN", "optimizer.grad_tol"),
+            ("weights.alpha_t=NaN", "weights.alpha_t"),
             ("discretization.T=NaN", "discretization.T"),
             # a number is not a JSON string, also in a density spec
             ('physics.D="0.1"', "physics.D"),
@@ -154,6 +154,12 @@ class TestConfig:
             ('scenario.target={"kind":"mixture","components":[{"weight":0.0,"mean":1.0,"sigma":0.3}]}',
              "scenario.target.components: the weights must sum"),
             ('scenario.q0={"kind":"mixture","components":[]}', "scenario.q0.components"),
+            # a wrapped Gaussian whose every sample underflows, alone or in a mixture
+            ('scenario.q0={"kind":"wrapped_gaussian","mean":0.01,"sigma":1e-4}',
+             "scenario.q0.sigma = 0.0001 is too narrow for the grid spacing 2*pi/n_theta = 0.0981748"),
+            ('scenario.q0={"kind":"mixture","components":[{"weight":1.0,"mean":1.0,"sigma":0.5},'
+             '{"weight":1.0,"mean":0.01,"sigma":1e-4}]}',
+             "scenario.q0.components[1].sigma = 0.0001 is too narrow for the grid spacing 2*pi/n_theta = 0.0981748"),
             ('scenario.q0={"kind":"blob"}', "scenario.q0.kind"),
         ],
     )
@@ -175,11 +181,17 @@ class TestConfig:
         assert "initial_controls.source_file" in capsys.readouterr().err
         assert not (tmp_path / "x" / "summary.json").exists()
 
-    def test_descent_method_is_not_a_setting(self, tmp_path, capsys):
-        # the descent has one method, the Sobolev gradient; "ncg" is gone
-        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, "--set", "optimizer.method=ncg"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("method", "ncg"), ("armijo_c", "1e-4"), ("backtrack_factor", "0.5"), ("initial_step", "1.0"),
+         ("grad_tol", "1e-8"), ("cost_rel_tol", "1e-12"), ("max_backtracks", "40")],
+    )
+    def test_descent_method_is_not_a_setting(self, tmp_path, capsys, key, value):
+        # the descent has one method, the Sobolev gradient, and one setting,
+        # max_iters: the line search's constants are not settings
+        code = main(["optimize", "--out", str(tmp_path / "x"), *self.OPT_FAST, "--set", f"optimizer.{key}={value}"])
         assert code == 1
-        assert "unknown config key 'optimizer.method'" in capsys.readouterr().err
+        assert f"unknown config key 'optimizer.{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x" / "summary.json").exists()
 
     def test_control_file_wrong_length_hard_error(self, tmp_path, capsys):
@@ -391,17 +403,6 @@ class TestOptimize:
         assert trials == [0] + [bt + 1 for bt in backtracks[1:]]
         assert sum(trials) == solves["line_search_trials"]
 
-    def test_trials_count_a_retried_search(self, tmp_path):
-        # from the first step of 100, doubled, the second search is exhausted
-        # after two trials, and its retry is not
-        out = tmp_path / "run"
-        assert main(["optimize", "--out", str(out), *OPT_FAST,
-                     "--set", "optimizer.max_backtracks=1", "--set", "optimizer.initial_step=100"]) == 0
-        solves = json.loads((out / "summary.json").read_text())["solves"]
-        trials, backtracks = convergence_columns(out, "trials", "backtracks")
-        assert any(t > bt + 1 for t, bt in zip(trials[1:], backtracks[1:]))
-        assert sum(trials) == solves["line_search_trials"]
-
     def test_zero_iterations_matches_simulate(self, tmp_path):
         sim, opt = tmp_path / "sim", tmp_path / "opt"
         assert main(["simulate", "--out", str(sim), *FAST]) == 0
@@ -410,14 +411,8 @@ class TestOptimize:
         assert read(sim / "state.f64") == read(opt / "state.f64")
         assert read(sim / "timeseries.csv") == read(opt / "timeseries.csv")
 
-    def test_stalled_exit_code(self, tmp_path):
-        code = main(
-            ["optimize", "--out", str(tmp_path / "run"), *FAST,
-             "--set", "optimizer.max_iters=4",
-             "--set", "optimizer.initial_step=1e12",
-             "--set", "optimizer.max_backtracks=1",
-             "--set", "optimizer.armijo_c=0.999"]
-        )
+    def test_stalled_exit_code(self, tmp_path, stalling_search):
+        code = main(["optimize", "--out", str(tmp_path / "run"), *FAST, "--set", "optimizer.max_iters=4"])
         assert code == 3
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "stalled"
