@@ -106,6 +106,27 @@ def _section(cfg: dict, name: str) -> dict:
     return {key: cast_setting(f"{name}.{key}", cfg[name][key], default) for key, default in defaults.items()}
 
 
+def _settings(section: str, build, **values):
+    """build(**values), the settings of one config section. The settings
+    classes begin each out-of-range error with the field's name, which this
+    prefixes with the section's, so the error names its dotted key."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{exc}") from None
+
+
+def _check_section(cfg: dict) -> dict:
+    """The check section, whose grids and direction count are tested here,
+    before any command runs, under their own keys."""
+    check = _section(cfg, "check")
+    _settings("check", CircleGrid, n_theta=check["n_theta"])
+    _settings("check", TimeGrid, T=check["T"], n_t=check["n_t"])
+    if check["directions"] < 1:
+        raise ValueError(f"check.directions must be >= 1, got {check['directions']}")
+    return check
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Materialized configuration: solver objects built from the config dict."""
@@ -127,19 +148,19 @@ class RunConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
         disc = _section(cfg, "discretization")
-        grid = CircleGrid(disc["n_theta"])
+        grid = _settings("discretization", CircleGrid, n_theta=disc["n_theta"])
         return cls(
             raw=cfg,
             grid=grid,
-            tgrid=TimeGrid(disc["T"], disc["n_t"]),
-            params=CouplingParams(**_section(cfg, "physics")),
+            tgrid=_settings("discretization", TimeGrid, T=disc["T"], n_t=disc["n_t"]),
+            params=_settings("physics", CouplingParams, **_section(cfg, "physics")),
             mode=ControlMode(cfg["mode"]),
             shape=ControlShape(cfg["shape"]),
-            weights=CostWeights(**_section(cfg, "weights")),
-            optimizer=OptimizerConfig(**_section(cfg, "optimizer")),
+            weights=_settings("weights", CostWeights, **_section(cfg, "weights")),
+            optimizer=_settings("optimizer", OptimizerConfig, **_section(cfg, "optimizer")),
             q0=DensitySpec.from_dict(cfg["scenario"]["q0"], "scenario.q0").build(grid),
             target_field=DensitySpec.from_dict(cfg["scenario"]["target"], "scenario.target").build(grid),
-            check=_section(cfg, "check"),
+            check=_check_section(cfg),
             seed=cast_setting("seed", cfg["seed"], DEFAULT_CONFIG["seed"]),
             output_dir=Path(cfg["output_dir"]),
         )

@@ -33,7 +33,7 @@ class CouplingParams:
 
     def __post_init__(self) -> None:
         if not self.D >= 0.0:
-            raise ValueError(f"diffusion coefficient D must be >= 0, got {self.D}")
+            raise ValueError(f"D (the diffusion coefficient) must be >= 0, got {self.D}")
         for name in ("alpha", "K"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -79,7 +79,7 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
-            raise ValueError(f"final time T must be > 0, got {self.T}")
+            raise ValueError(f"T (the final time) must be > 0, got {self.T}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
 

@@ -86,7 +86,7 @@ class CostWeights:
     def __post_init__(self) -> None:
         for name in ("alpha_r", "alpha_t", "beta1", "beta2", "beta_lin"):
             if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def validate_for_mode(self, mode: ControlMode) -> None:
         if self.alpha_r <= 0.0 and self.alpha_t <= 0.0:
@@ -114,7 +114,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -285,28 +285,31 @@ def _evaluate(
 
 
 def _probe_costs(
-    problem: OcpProblem, u0: dict[str, FloatArray], deltas: dict[str, FloatArray], steps: FloatArray
+    problem: OcpProblem, u0: dict[str, FloatArray], deltas: dict[str, Directions], steps: FloatArray
 ) -> FloatArray:
-    """Cost J at every probe u0 + s*delta, for each direction of the stacks
-    `deltas` (name -> (D, n_t+1, n_theta)) and each s of `steps`, as a
+    """Cost J at every probe u0 + s*delta, for each direction of `deltas`
+    (name -> the D directions of that control) and each s of `steps`, as a
     (D, S) array, from one state solve that issues no ResolutionWarning
     (probes may dip negative, as in _evaluate).
 
-    No probe history is made: row k of every probe's controls is made into
-    one (D, S, n_theta) buffer per control, and each state row is reduced to
-    the probes' row sums as the solve makes it. These are the row sums that
-    cost() takes, and _cost_terms turns them into J, so each J is bit-equal
-    to cost()'s.
+    No probe or direction history is made: row k of every direction is made
+    from its draws into one (D, 1, n_theta) buffer, and row k of every
+    probe's controls from it into one (D, S, n_theta) buffer per control;
+    each state row is reduced to the probes' row sums as the solve makes it.
+    These are the row sums that cost() takes, and _cost_terms turns them
+    into J, so each J is bit-equal to cost()'s.
     """
     grid, tgrid, weights, params = problem.grid, problem.tgrid, problem.weights, problem.params
-    n_dirs = len(next(iter(deltas.values())))
+    n_dirs = len(next(iter(deltas.values())).mean)
     shape = (n_dirs, len(steps), grid.n_theta)
     scaled = steps[:, None]
     rows = {n: np.empty(shape) for n in u0}
+    delta_row = np.empty((n_dirs, 1, grid.n_theta))
 
     def fill(k: int) -> None:
         for n, row in rows.items():
-            np.multiply(scaled, deltas[n][:, None, k, :], out=row)
+            deltas[n].rows(slice(None), slice(k, k + 1), delta_row)
+            np.multiply(scaled, delta_row, out=row)
             row += u0[n][k]
 
     sums = np.empty((1 + len(rows), n_dirs, len(steps), tgrid.n_t + 1))  # mismatch, then each control
@@ -572,22 +575,59 @@ class GradientCheckReport:
         return all(d.passed for d in self.directions)
 
 
-def _smooth_direction(rng: random.Random, grid: CircleGrid, tgrid: TimeGrid) -> FloatArray:
-    """Random band-limited direction, resolution-independent: a constant drawn
-    from N(0, 1), so that a uniform gradient error shows in every direction,
-    plus three separable modes cos(pi j t / T + a) cos(k theta + b) with
-    k < 7, j < 4, N(0, 1) amplitudes and uniform phases a, b."""
+@dataclass(frozen=True, eq=False)
+class Directions:
+    """Gradient-check directions of one control, each kept as its draws (see
+    _smooth_direction): row i of direction d is
+    mean[d] + sum over m of amp[d, m] * (time[d, m, i] * angle[d, m])."""
+
+    mean: FloatArray  # (D,)
+    amp: FloatArray  # (D, 3)
+    time: FloatArray  # (D, 3, n_t+1)
+    angle: FloatArray  # (D, 3, n_theta)
+
+    @classmethod
+    def empty(cls, n: int, grid: CircleGrid, tgrid: TimeGrid) -> Directions:
+        return cls(np.empty(n), np.empty((n, 3)), np.empty((n, 3, tgrid.n_t + 1)), np.empty((n, 3, grid.n_theta)))
+
+    def rows(self, d: slice, k: slice, out: FloatArray) -> FloatArray:
+        """Rows k of the directions d, into out of shape (D', R, n_theta): the
+        mean, then each mode added in the order it was drawn, the arithmetic
+        of np.full(mean) += amp * np.outer(time, angle)."""
+        out[...] = self.mean[d, None, None]
+        term = np.empty_like(out)
+        for m in range(self.amp.shape[1]):
+            np.multiply(self.time[d, m, k, None], self.angle[d, m, None, :], out=term)
+            term *= self.amp[d, m, None, None]
+            out += term
+        return out
+
+
+def _smooth_direction(
+    rng: random.Random, grid: CircleGrid, tgrid: TimeGrid, shape: ControlShape, dirs: Directions, d: int
+) -> None:
+    """Draw direction d of dirs, a random band-limited direction that is
+    resolution-independent: a constant drawn from N(0, 1), so that a uniform
+    gradient error shows in every direction, plus three separable modes
+    cos(pi j t / T + a) cos(k theta + b) with k < 7, j < 4, N(0, 1)
+    amplitudes and uniform phases a, b. The draws and the modes' time and
+    angle factors are kept, not the history. The direction is projected onto
+    `shape` through its factors: space_only replaces each time factor by its
+    trapezoid time average, time_only each angle factor by its theta mean,
+    and constant does both."""
     th, t = grid.theta, tgrid.times
-    out = np.full((tgrid.n_t + 1, grid.n_theta), rng.gauss(0.0, 1.0))
-    for _ in range(3):
+    dirs.mean[d] = rng.gauss(0.0, 1.0)
+    for m in range(3):
         k = rng.randrange(7)
         j = rng.randrange(4)
-        amp = rng.gauss(0.0, 1.0)
-        out += amp * np.outer(
-            np.cos(np.pi * j * t / tgrid.T + rng.uniform(0.0, TWO_PI)),
-            np.cos(k * th + rng.uniform(0.0, TWO_PI)),
-        )
-    return out
+        dirs.amp[d, m] = rng.gauss(0.0, 1.0)
+        dirs.time[d, m] = np.cos(np.pi * j * t / tgrid.T + rng.uniform(0.0, TWO_PI))
+        dirs.angle[d, m] = np.cos(k * th + rng.uniform(0.0, TWO_PI))
+    if shape in (ControlShape.SPACE_ONLY, ControlShape.CONSTANT):
+        wt = tgrid.trapezoid_weights
+        dirs.time[d] = (dirs.time[d] @ wt / wt.sum())[:, None]
+    if shape in (ControlShape.TIME_ONLY, ControlShape.CONSTANT):
+        dirs.angle[d] = dirs.angle[d].mean(axis=1, keepdims=True)
 
 
 def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) -> GradientCheckReport:
@@ -596,7 +636,10 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
     For each random band-limited direction, the adjoint value <grad J, delta>
     is checked against (J(u + eps*delta) - J(u - eps*delta)) / (2 eps) for
     each eps of EPS_SWEEP. random.Random(seed) draws the directions, each a
-    random constant plus three separable modes (see _smooth_direction).
+    random constant plus three separable modes, kept as its draws; its rows
+    are made only where they are read, a block of rows at a time by the
+    redraw test and a row of every direction at a time by the probe solve
+    (see _smooth_direction and Directions).
     Every direction is drawn first; then all the probes u +- eps*delta,
     every direction and both signs, are solved and scored in one batch that
     keeps no probe history (see _probe_costs). A CFL violation in any probe
@@ -622,27 +665,33 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
     g = reduced_gradient(q0_traj, p_traj, cs0, weights, mode, params, problem.shape)
     del cs0, q0_traj, p_traj  # the probes need only u0 and the directions
     gn = _grad_norm(grid, tgrid, g)
+    deltas = {n: Directions.empty(n_directions, grid, tgrid) for n in u0}
 
-    def draw_direction() -> tuple[dict[str, FloatArray], float]:
+    def inner(n: str, d: int, a: FloatArray | None) -> float:
+        """<a, delta> for direction d of control n, or <delta, delta> when a is None."""
+
+        def fill(rows: slice, out: FloatArray) -> FloatArray:
+            delta = deltas[n].rows(slice(d, d + 1), rows, out[None])[0]
+            return np.multiply(delta if a is None else a[rows], delta, out=out)
+
+        return _quadrature(grid, tgrid, _row_sums((tgrid.n_t + 1, grid.n_theta), fill))
+
+    def draw_direction(d: int) -> float:
         for _ in range(20):
-            delta = {
-                n: shape_project(_smooth_direction(rng, grid, tgrid), problem.shape, tgrid)
-                for n in u0
-            }
-            g_adj = sum(space_time_inner(grid, tgrid, g[n], delta[n]) for n in u0)
+            for n in u0:
+                _smooth_direction(rng, grid, tgrid, problem.shape, deltas[n], d)
+            g_adj = sum(inner(n, d, g[n]) for n in u0)
             if gn == 0.0:
-                return delta, g_adj
-            dn = _grad_norm(grid, tgrid, delta)
+                return g_adj
+            dn = float(np.sqrt(sum(inner(n, d, None) for n in u0)))
             if abs(g_adj) >= 0.05 * gn * dn:
-                return delta, g_adj
-        return delta, g_adj
+                return g_adj
+        return g_adj
 
     zero_floor = 1e-9 * (1.0 + abs(j0))
 
-    drawn = [draw_direction() for _ in range(n_directions)]
-    deltas = {n: np.stack([delta[n] for delta, _ in drawn]) for n in u0}
-    adjoint_values = [g_adj for _, g_adj in drawn]
-    del drawn, g  # the probe solve holds the directions once, and no gradient
+    adjoint_values = [draw_direction(d) for d in range(n_directions)]
+    del g  # the probe solve holds no gradient
     costs = _probe_costs(problem, u0, deltas, np.concatenate((EPS_SWEEP, -EPS_SWEEP)))
 
     checks = []

@@ -27,10 +27,11 @@ from kurasteer import (
 from kurasteer.checks import check_gradients, coarse_problem
 from kurasteer.config import RunConfig, load_config
 from kurasteer import dynamics, optimizer
-from kurasteer.dynamics import CONTROLS, ROW_BLOCK, CFLError, NumericsError, _solve_states
+from kurasteer.dynamics import CONTROLS, ROW_BLOCK, CFLError, NumericsError, _solve_states, row_blocks
 from kurasteer.optimizer import (
     ARMIJO_C,
     BACKTRACK_FACTOR,
+    Directions,
     GRADCHECK_TOL,
     MIN_BACKTRACK,
     SOBOLEV_LENGTH,
@@ -357,7 +358,7 @@ class TestGradientCheck:
         def spy(prob, u0, deltas, steps):
             costs = batched_costs(prob, u0, deltas, steps)
             half = len(steps) // 2
-            probes = {n: u0[n] + steps[:, None, None] * arr[0] for n, arr in deltas.items()}
+            probes = {n: u0[n] + steps[:, None, None] * histories(dirs)[0] for n, dirs in deltas.items()}
             batches.extend([
                 ({n: arr[:half] for n, arr in probes.items()}, costs[0, :half]),
                 ({n: arr[half:] for n, arr in probes.items()}, costs[0, half:]),
@@ -402,15 +403,51 @@ class TestGradientCheck:
         assert all(max(r["floor_rel_errors"]) <= 1e-4 for r in results)
 
 
+def histories(dirs):
+    """Every direction of a Directions as the (n_t+1, n_theta) history that
+    the check stored before it kept the draws: np.full of its mean, and
+    amp * np.outer(time, angle) added mode by mode."""
+    out = np.empty((len(dirs.mean), dirs.time.shape[2], dirs.angle.shape[2]))
+    for d, history in enumerate(out):
+        history[...] = dirs.mean[d]
+        for m in range(3):
+            history += dirs.amp[d, m] * np.outer(dirs.time[d, m], dirs.angle[d, m])
+    return out
+
+
+def stored_smooth_direction(rng, grid, tgrid):
+    """The check's direction as it was drawn and stored whole before it kept
+    its draws: the reference for Directions and _smooth_direction."""
+    th, t = grid.theta, tgrid.times
+    out = np.full((tgrid.n_t + 1, grid.n_theta), rng.gauss(0.0, 1.0))
+    for _ in range(3):
+        k = rng.randrange(7)
+        j = rng.randrange(4)
+        amp = rng.gauss(0.0, 1.0)
+        out += amp * np.outer(
+            np.cos(np.pi * j * t / tgrid.T + rng.uniform(0.0, TWO_PI)),
+            np.cos(k * th + rng.uniform(0.0, TWO_PI)),
+        )
+    return out
+
+
+def draw_directions(shape, grid, tgrid, n_dirs, rng):
+    dirs = Directions.empty(n_dirs, grid, tgrid)
+    for d in range(n_dirs):
+        _smooth_direction(rng, grid, tgrid, shape, dirs, d)
+    return dirs
+
+
 def per_direction_probe_costs(problem, u0, deltas, steps):
     """The probe path that the streamed solve replaced, written out: each
     direction's probes solved as one stored stack by _solve_states, and each
     probe scored by the whole-history cost arithmetic."""
     grid, tgrid, weights, params = problem.grid, problem.tgrid, problem.weights, problem.params
     w, dth = tgrid.trapezoid_weights, grid.d_theta
+    stored = {n: histories(dirs) for n, dirs in deltas.items()}
     costs = []
-    for d in range(len(next(iter(deltas.values())))):
-        u = {n: u0[n] + steps[:, None, None] * arr[d] for n, arr in deltas.items()}
+    for d in range(len(next(iter(stored.values())))):
+        u = {n: u0[n] + steps[:, None, None] * arr[d] for n, arr in stored.items()}
         for i, q in enumerate(_solve_states(problem.q0, u, params, tgrid)):
             scratch = np.subtract(q, problem.target.data)
             np.multiply(scratch, scratch, out=scratch)
@@ -424,6 +461,41 @@ def per_direction_probe_costs(problem, u0, deltas, steps):
                 j_u += 0.5 * weights.beta(spec) * (float(w @ scratch.sum(axis=1)) * dth)
             costs.append(j_q + j_u)
     return np.array(costs).reshape(-1, len(steps))
+
+
+class TestDirections:
+    """gradient_check keeps each direction as its draws and makes its rows
+    where they are read: every row must be the stored direction's, bit for
+    bit, and a restricted shape's the projection of it."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rows_bit_equal_to_the_stored_direction(self, seed):
+        grid, tgrid = CircleGrid(32), TimeGrid(0.5, ROW_BLOCK + 40)  # two row blocks
+        dirs = draw_directions(ControlShape.SPACE_TIME, grid, tgrid, 4, random.Random(seed))
+        rng = random.Random(seed)
+        stored = np.stack([stored_smooth_direction(rng, grid, tgrid) for _ in range(4)])
+        assert np.array_equal(histories(dirs), stored)
+        for d in range(4):  # one direction's row blocks, as the redraw test reads them
+            for rows in row_blocks(tgrid.n_t + 1):
+                block = np.empty((1, rows.stop - rows.start, grid.n_theta))
+                assert np.array_equal(dirs.rows(slice(d, d + 1), rows, block)[0], stored[d, rows])
+        row = np.empty((4, 1, grid.n_theta))
+        for k in (0, ROW_BLOCK, tgrid.n_t):  # row k of every direction, as the probes read it
+            assert np.array_equal(dirs.rows(slice(None), slice(k, k + 1), row)[:, 0], stored[:, k])
+
+    @pytest.mark.parametrize("shape", [ControlShape.SPACE_ONLY, ControlShape.TIME_ONLY, ControlShape.CONSTANT])
+    def test_projected_draws_are_the_projected_direction(self, shape):
+        grid, tgrid = CircleGrid(32), TimeGrid(0.5, 100)
+        dirs = draw_directions(shape, grid, tgrid, 4, random.Random(0))
+        rng = random.Random(0)
+        for history in histories(dirs):
+            projected = shape_project(stored_smooth_direction(rng, grid, tgrid), shape, tgrid)
+            assert np.max(np.abs(history - projected)) <= 1e-14
+            # and exactly in the shape's subspace: constant in t, in theta, or both
+            if shape is not ControlShape.TIME_ONLY:
+                assert (history == history[0]).all()
+            if shape is not ControlShape.SPACE_ONLY:
+                assert (history == history[:, :1]).all()
 
 
 class TestStreamedProbes:
@@ -444,22 +516,23 @@ class TestStreamedProbes:
         )
         rng = random.Random(seed)
         u0 = _baseline_arrays(problem)
-        deltas = {
-            n: np.stack([shape_project(_smooth_direction(rng, grid, tgrid), shape, tgrid) for _ in range(n_dirs)])
-            for n in u0
-        }
+        deltas = {n: draw_directions(shape, grid, tgrid, n_dirs, rng) for n in u0}
         return problem, u0, deltas
 
     @staticmethod
     def stored_stack(u0, deltas, steps):
         """Every probe as one stored (D*S, n_t+1, n_theta) stack per control."""
-        return {n: np.concatenate([u0[n] + steps[:, None, None] * d for d in arr]) for n, arr in deltas.items()}
+        return {
+            n: np.concatenate([u0[n] + steps[:, None, None] * d for d in histories(dirs)])
+            for n, dirs in deltas.items()
+        }
 
     def assert_costs_are_single_solves(self, problem, u0, deltas):
         costs = _probe_costs(problem, u0, deltas, self.STEPS)
         assert costs.shape == (2, len(self.STEPS))
+        stored = {n: histories(dirs) for n, dirs in deltas.items()}
         for (d, i), j in np.ndenumerate(costs):
-            probe = {n: u0[n] + self.STEPS[i] * arr[d] for n, arr in deltas.items()}
+            probe = {n: u0[n] + self.STEPS[i] * arr[d] for n, arr in stored.items()}
             assert j == _evaluate(problem, probe)[2][0], (d, i)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -487,7 +560,11 @@ class TestStreamedProbes:
         # 25 against a limit of 18.6 (0.5*dtheta/dt - K); a bound
         # max|u0| + |s|*max|delta| would read 25 for every probe of direction 1
         ramp = np.broadcast_to(tgrid.times[:, None] / tgrid.T, (tgrid.n_t + 1, grid.n_theta))
-        u0, deltas = {"u1": 15.0 * ramp}, {"u1": np.stack([0.0 * ramp, -10.0 * ramp])}
+        # directions 0 and -10*t/T, as one mode t/T times 1 of amplitude 0 and -10
+        time = np.broadcast_to(tgrid.times / tgrid.T, (2, 3, tgrid.n_t + 1))
+        ramps = Directions(np.zeros(2), np.array([[0.0, 0, 0], [-10.0, 0, 0]]), time, np.ones((2, 3, grid.n_theta)))
+        u0, deltas = {"u1": 15.0 * ramp}, {"u1": ramps}
+        assert np.array_equal(histories(ramps), np.stack([0.0 * ramp, -10.0 * ramp]))
         stepped = []
         stepper = dynamics._lawson_heun
         monkeypatch.setattr(dynamics, "_lawson_heun", lambda *a, **kw: stepped.append(1) or stepper(*a, **kw))
@@ -506,8 +583,8 @@ class TestStreamedProbes:
 
     def test_non_finite_probe_names_the_first_bad_step(self):
         problem, u0, deltas = self.setup_probes(ControlMode.LINEAR_SOURCE)
-        deltas["source"][0, 9, 3] = np.inf  # first used by the stage-2 rate of step 9
-        deltas["source"][1, 5, 7] = np.nan  # and of step 5
+        deltas["source"].time[0, 1, 9] = np.inf  # row 9, first used by the stage-2 rate of step 9
+        deltas["source"].time[1, 2, 5] = np.nan  # and row 5, of step 5
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericsError, match=r"state became non-finite at step 5 \(t=0.025\)") as streamed:
                 _probe_costs(problem, u0, deltas, self.STEPS)
@@ -578,17 +655,44 @@ class TestMemory:
             peak = traced_peak(lambda: optimize(build()))
         assert peak <= bound * history
 
+    CHECK_PROBLEM = ["check.n_theta=64", "check.n_t=200", "check.T=1.0"]
+
     @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.LINEAR_SOURCE])
     def test_gradient_check_keeps_no_probe_history(self, mode, traced_peak):
-        # the check problem, 10 directions x 18 probes: measured 29.2
-        # (velocity) and 31.0 (linear_source) histories, of which the
-        # directions are 10 and the probes' row sums 5.6 (velocity); 41.8
-        # when each direction's 18 probe controls and states were stored
-        runcfg = RunConfig.from_dict(load_config(None, ["check.n_theta=64", "check.n_t=200", "check.T=1.0"]))
-        problem = coarse_problem(runcfg, mode)
+        # the check problem, 10 directions x 18 probes: measured 19.91
+        # (velocity) and 21.72 (linear_source) histories, of which the
+        # probes' row sums are 5.6 (velocity); 29.23 and 31.04 when the
+        # directions were stored whole, and 41.8 when each direction's 18
+        # probe controls and states were stored too
+        problem = coarse_problem(RunConfig.from_dict(load_config(None, self.CHECK_PROBLEM)), mode)
         gradient_check(problem, n_directions=10, seed=0)
         peak = traced_peak(lambda: gradient_check(problem, n_directions=10, seed=0))
-        assert peak <= 33 * 201 * 64 * 8
+        assert peak <= 22 * 201 * 64 * 8
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_gradient_check_stores_no_direction(self, mode, traced_peak):
+        # from 2 to 10 directions the check's peak grows per added direction
+        # by what its probe solve alone grows by (18 probes' row sums and
+        # stepper buffers: 1.89 histories for velocity, 2.07 for
+        # linear_source): measured 0.08 to 0.32 histories less. With each
+        # direction stored whole it grew 0.85 (interaction) to 1.82 (joint)
+        # histories more: 2.86 against 1.88 for velocity.
+        problem = coarse_problem(RunConfig.from_dict(load_config(None, self.CHECK_PROBLEM)), mode)
+        u0, steps = _baseline_arrays(problem), np.concatenate((optimizer.EPS_SWEEP, -optimizer.EPS_SWEEP))
+        grid, tgrid = problem.grid, problem.tgrid
+
+        def directions(n_dirs):
+            rng = random.Random(0)
+            return {n: draw_directions(ControlShape.SPACE_TIME, grid, tgrid, n_dirs, rng) for n in u0}
+
+        def growth(peaks):
+            return (peaks[1] - peaks[0]) / 8 / (201 * 64 * 8)
+
+        gradient_check(problem, n_directions=10, seed=0)
+        check = growth([traced_peak(lambda: gradient_check(problem, n_directions=n, seed=0)) for n in (2, 10)])
+        deltas = [directions(n) for n in (2, 10)]
+        probes = growth([traced_peak(lambda: _probe_costs(problem, u0, d, steps)) for d in deltas])
+        assert check <= probes + 0.25
 
 
 class TestRowBlocks:
