@@ -33,13 +33,11 @@ from .optimizer import (
     sync_series,
 )
 from .oracles import (
-    FixedPointResult,
     ParticleEnsemble,
-    bessel_ratio,
     interaction_quadrature,
+    rotating_wave,
     simulate_particles,
     stationary_density,
-    stationary_fixed_point,
 )
 from .scenarios import DensitySpec
 
@@ -55,7 +53,6 @@ __all__ = [
     "CouplingParams",
     "DensitySpec",
     "Field",
-    "FixedPointResult",
     "GradientCheckReport",
     "IterationRecord",
     "NumericsError",
@@ -66,17 +63,16 @@ __all__ = [
     "ResolutionWarning",
     "TimeGrid",
     "Trajectory",
-    "bessel_ratio",
     "cost",
     "gradient_check",
     "interaction_quadrature",
     "optimize",
     "random_bandlimited",
     "reduced_gradient",
+    "rotating_wave",
     "simulate_particles",
     "solve_adjoint",
     "solve_state",
     "stationary_density",
-    "stationary_fixed_point",
     "sync_series",
 ]

@@ -165,6 +165,9 @@ class RunConfig:
             output_dir=Path(cfg["output_dir"]),
         )
 
+    def __post_init__(self) -> None:
+        _settings("weights", self.weights.validate_for_mode, mode=self.mode)
+
     def target_trajectory(self) -> Trajectory:
         """Static target replicated across all time rows."""
         return Trajectory.from_field(self.target_field, self.tgrid)

@@ -90,10 +90,11 @@ class CostWeights:
 
     def validate_for_mode(self, mode: ControlMode) -> None:
         if self.alpha_r <= 0.0 and self.alpha_t <= 0.0:
-            raise ValueError("at least one of alpha_r, alpha_t must be > 0")
+            raise ValueError("alpha_r and alpha_t, the tracking weights, are both 0: one must be > 0")
         for name in mode.active_controls:
-            if self.beta(CONTROLS[name]) <= 0.0:
-                raise ValueError(f"energy weight of active control '{name}' must be > 0")
+            spec = CONTROLS[name]
+            if self.beta(spec) <= 0.0:
+                raise ValueError(f"{spec.energy_weight}, the energy weight of active control '{name}', must be > 0")
 
     def beta(self, spec: ControlSpec) -> float:
         return getattr(self, spec.energy_weight)

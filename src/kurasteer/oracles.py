@@ -1,10 +1,11 @@
-"""Independent oracles: brute-force quadrature, the synchronization fixed
-point, and a microscopic N-oscillator simulator.
+"""Independent oracles: brute-force quadrature, the synchronized rotating
+wave at any phase lag, and a microscopic N-oscillator simulator.
 
 Everything here double-checks the spectral solver through a different route:
-the quadrature path never uses the moment identity, the fixed point never
-integrates the PDE, and the particle system is the finite-N stochastic model
-whose empirical density the PDE describes.
+the quadrature path never uses the moment identity, the rotating wave solves
+the stationary Fokker-Planck equation in Fourier modes and never integrates
+the PDE, and the particle system is the finite-N stochastic model whose
+empirical density the PDE describes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import numpy as np
 
 from .coupling import CouplingParams
 from .dynamics import CONTROLS, ControlSet, TimeGrid
-from .grid import TWO_PI, CircleGrid, Field, FloatArray
+from .grid import TWO_PI, CircleGrid, ComplexArray, Field, FloatArray
 
-SYNC_THRESHOLD = 2.0  # coupling-to-diffusion ratio below which only R = 0 solves
+SYNC_THRESHOLD = 2.0  # K*cos(alpha)/D at or below which only R = 0 solves
+N_MODES = 64  # continued-fraction depth of the rotating wave
+NEWTON_TOL = 1e-14  # on the self-consistency residual and the truncated mode
+NEWTON_FD_STEP = 1e-7
+NEWTON_MAX_STEPS = 50
 
 
 def interaction_quadrature(grid: CircleGrid, values: FloatArray, alpha: float) -> FloatArray:
@@ -37,64 +42,59 @@ def adjoint_quadrature(grid: CircleGrid, values: FloatArray, alpha: float) -> Fl
     return kernel @ values * grid.d_theta
 
 
-def bessel_ratio(x: float) -> float:
-    """I_1(x) / I_0(x) of the modified Bessel functions.
-
-    scipy is imported here, on first use, so that the solver, the optimizer
-    and the CLI load without it.
-    """
-    from scipy.special import i0e, i1e
-
-    return float(i1e(x) / i0e(x))
-
-
 @dataclass(frozen=True)
-class FixedPointResult:
-    """Self-consistent coherence of the synchronized steady state."""
+class RotatingWave:
+    """Synchronized steady state: coherence R_star, rotation rate omega, and
+    modes[k] = c_k, k = 0..N_MODES, the integrals of Q(phi)*exp(-i*k*phi) of
+    its profile Q in the co-rotating frame, so c_0 = 1 and c_1 = R_star."""
 
     R_star: float
-    converged: bool
-    residual: float
+    omega: float
+    modes: ComplexArray
 
 
-def stationary_fixed_point(params: CouplingParams) -> FixedPointResult:
-    """Solve R = I_1(K R / D) / I_0(K R / D) by Brent's method (scipy's
-    brentq, imported on first use as in bessel_ratio).
+def _modes(params: CouplingParams, R: float, omega: float) -> ComplexArray:
+    """c_0..c_N_MODES of the stationary profile in the frame rotating at omega under
+    coherence R. Their ratios r_k = c_k/c_(k-1) follow the continued fraction, from
+    r_(N_MODES+1) = 0: r_k = a*e^(i*alpha) / (D*k - i*omega + a*e^(-i*alpha)*r_(k+1)), a = K*R/2."""
+    a, lag = 0.5 * params.K * R, np.exp(1j * params.alpha)
+    ratios = [0j]  # r_(N_MODES+1), then r_N_MODES down to r_1
+    for k in range(N_MODES, 0, -1):
+        ratios.append(a * lag / (params.D * k - 1j * omega + a * np.conj(lag) * ratios[-1]))
+    return np.cumprod([1.0, *ratios[:0:-1]])
 
-    Valid for zero phase lag. Below the synchronization threshold K/D = 2
-    only the incoherent root R = 0 exists and is returned as converged.
-    The mean phase is not determined by the fixed point; callers align it
-    with the trajectory under comparison.
-    """
-    if params.D <= 0.0:
-        raise ValueError("stationary fixed point requires D > 0")
-    if params.K <= 0.0:
-        raise ValueError("stationary fixed point requires K > 0")
-    if params.alpha != 0.0:
-        raise ValueError("semi-analytic steady state is only valid for zero phase lag")
 
-    kappa = params.K / params.D
+def rotating_wave(params: CouplingParams) -> RotatingWave:
+    """The self-consistent rotating wave of the uncontrolled dynamics at any
+    phase lag (Risken, ch. 9; Sakaguchi & Kuramoto 1986): c_1(R, omega) = R,
+    solved by Newton's method with a forward-difference Jacobian from R = 0.9
+    and a locked bump's rate -0.9*K*sin(alpha), which avoids the trivial root
+    R = 0. At or below K*cos(alpha)/D = SYNC_THRESHOLD only R = 0 exists."""
+    if params.D <= 0.0 or params.K <= 0.0:
+        raise ValueError(f"the rotating wave requires D > 0 and K > 0, got D={params.D}, K={params.K}")
+    if params.K * np.cos(params.alpha) / params.D <= SYNC_THRESHOLD:
+        return RotatingWave(0.0, 0.0, _modes(params, 0.0, 0.0))
 
-    def f(r: float) -> float:
-        return bessel_ratio(kappa * r) - r
+    def residual(x: FloatArray) -> FloatArray:  # c_1(R, omega) - R as (real, imaginary) parts
+        return np.array([_modes(params, *x)[1] - x[0]]).view(np.float64)
 
-    if kappa <= SYNC_THRESHOLD or f(0.01) <= 0.0:
-        return FixedPointResult(R_star=0.0, converged=True, residual=0.0)
-
-    lo, hi = 0.01, 0.999
-    if f(hi) >= 0.0:
-        return FixedPointResult(R_star=hi, converged=False, residual=abs(f(hi)))
-    from scipy.optimize import brentq
-
-    r_star = brentq(f, lo, hi, xtol=1e-15)
-    residual = abs(f(r_star))
-    return FixedPointResult(R_star=r_star, converged=residual <= 1e-10, residual=residual)
+    x = np.array([0.9, -0.9 * params.K * np.sin(params.alpha)])
+    for _ in range(NEWTON_MAX_STEPS):
+        f = residual(x)
+        if np.max(np.abs(f)) <= NEWTON_TOL:
+            break
+        jac = np.column_stack([(residual(x + NEWTON_FD_STEP * e) - f) / NEWTON_FD_STEP for e in np.eye(2)])
+        x = x - np.linalg.solve(jac, f)
+    modes = _modes(params, *x)
+    if np.max(np.abs(f)) > NEWTON_TOL or x[0] <= 0.0 or abs(modes[-1]) > NEWTON_TOL:
+        raise RuntimeError(f"Newton found no rotating wave with R > 0 resolved by {N_MODES} modes at {params}")
+    return RotatingWave(float(x[0]), float(x[1]) + 0.0, modes)  # + 0.0: no -0.0 at alpha = 0
 
 
 def stationary_density(grid: CircleGrid, params: CouplingParams, psi: float = 0.0) -> Field:
-    """Grid-normalized exp((K R*/D) cos(theta - psi)) steady profile."""
-    fp = stationary_fixed_point(params)
-    raw = np.exp((params.K * fp.R_star / params.D) * np.cos(grid.theta - psi))
+    """Grid-normalized profile of rotating_wave with mean phase psi, summed from its modes."""
+    phases = np.exp(1j * np.outer(grid.theta - psi, np.arange(N_MODES + 1)))
+    raw = 2.0 * (phases @ rotating_wave(params).modes).real - 1.0  # the sum over k = -N_MODES..N_MODES, as c_0 = 1
     return Field(grid, raw / grid.quad(raw))
 
 

@@ -27,9 +27,9 @@ from kurasteer import (
     Trajectory,
     gradient_check,
     optimize,
+    rotating_wave,
     solve_state,
     stationary_density,
-    stationary_fixed_point,
     sync_series,
 )
 from kurasteer.checks import N_SAMPLES, SIZES, check_nonlocal_equivalence, check_spectral_identities
@@ -189,13 +189,13 @@ def test_criterion_06_stationary_synchronization(scenario):
     t0 = time.time()
     traj = solve_state(q0, ControlSet(), params, TimeGrid(40.0, 2000))
     _, R, psi, _ = sync_series(traj)
-    fp = stationary_fixed_point(params)
-    rel = abs(R[-1] - fp.R_star) / fp.R_star
+    wave = rotating_wave(params)
+    rel = abs(R[-1] - wave.R_star) / wave.R_star
     q_star = stationary_density(grid, params, psi=psi[-1])
     l2 = float(np.sqrt(grid.quad((traj.data[-1] - q_star.values) ** 2)))
     ok = rel <= 0.02 and l2 <= 1e-2
     verdict(6, ok, 60.0, time.time() - t0,
-            f"R(40)={R[-1]:.6f} vs R*={fp.R_star:.6f} (rel {rel:.2e} <= 2e-2); "
+            f"R(40)={R[-1]:.6f} vs R*={wave.R_star:.6f}, Omega={wave.omega:.6f} (rel {rel:.2e} <= 2e-2); "
             f"profile L2 error {l2:.2e} <= 1e-2")
 
 

@@ -1,8 +1,10 @@
+import ast
 import csv
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import ModuleType
 
@@ -173,6 +175,9 @@ class TestConfig:
             ("check.n_t=0", "check.n_t must be >= 1, got 0"),
             ("check.n_theta=6", "check.n_theta must be even and >= 8, got 6"),
             ("check.T=0", "check.T (the final time) must be > 0, got 0.0"),
+            # a weight that the mode needs to be positive, though the command may not read it
+            ("weights.beta1=0", "weights.beta1, the energy weight of active control 'u1', must be > 0"),
+            ('weights={"alpha_r":0,"alpha_t":0}', "weights.alpha_r and alpha_t, the tracking weights, are both 0"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
@@ -525,11 +530,9 @@ runcfg = RunConfig.from_dict(load_config(None, args[1::2]))
 kurasteer.gradient_check(coarse_problem(runcfg, kurasteer.ControlMode.VELOCITY), n_directions=2)
 random_loads = "numpy.random" in sys.modules
 codes.append(run("check"))  # its spectral suites draw with numpy.random
+kurasteer.stationary_density(kurasteer.CircleGrid(32), kurasteer.CouplingParams())
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-kurasteer.bessel_ratio(1.0)
-print(json.dumps({
-    "codes": codes, "loaded": loaded, "oracle_loads": "scipy.special" in sys.modules, "random_loads": random_loads,
-}))
+print(json.dumps({"codes": codes, "loaded": loaded, "random_loads": random_loads}))
 """
 
 
@@ -537,7 +540,7 @@ print(json.dumps({
 def cold_start(tmp_path_factory):
     """What a fresh interpreter (so that earlier tests cannot hide an import)
     loads as it runs simulate, optimize, a gradient check and check, and then
-    the Bessel oracle."""
+    the rotating-wave oracle."""
     src = str(Path(kurasteer.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = [
@@ -556,10 +559,9 @@ def cold_start(tmp_path_factory):
 
 
 def test_cold_start_loads_no_scipy(cold_start):
-    # only the Bessel oracle needs scipy; importing the package and running
-    # each command must not load it
+    # numpy is the package's one dependency: importing it, running each
+    # command and the steady-state oracle load no scipy module
     assert cold_start["loaded"] == []
-    assert cold_start["oracle_loads"]
 
 
 def test_cold_start_loads_no_numpy_random(cold_start):
@@ -646,3 +648,21 @@ class TestPackage:
         public = {n for n, v in vars(kurasteer).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
         assert set(kurasteer.__all__) == public
         assert len(kurasteer.__all__) == len(public)
+
+    def test_numpy_is_the_only_dependency(self):
+        # each module imports only the standard library, numpy and the
+        # package itself, and pyproject.toml declares numpy alone
+        root = Path(__file__).parents[1]
+        for path in sorted((root / "src" / "kurasteer").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    top = module.split(".")[0]
+                    assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {module}"
+        with open(root / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=2.0"]

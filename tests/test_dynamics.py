@@ -23,7 +23,7 @@ from kurasteer.coupling import adjoint_kernel_table, adjoint_values, interaction
 from kurasteer.dynamics import ROW_BLOCK, _adjoint_rate, _solve_states, _state_rate, first_non_finite
 from kurasteer.grid import random_bandlimited, rfft
 from kurasteer.outputs import write_field_file
-from kurasteer.oracles import interaction_quadrature, stationary_fixed_point
+from kurasteer.oracles import interaction_quadrature, rotating_wave
 from kurasteer.scenarios import DensitySpec
 
 
@@ -207,11 +207,13 @@ class TestSolveState:
         traj = solve_state(gaussian_q0(grid), ControlSet(), params, TimeGrid(10.0, 2000))
         assert traj.data.min() >= -1e-6
 
-    def test_uncontrolled_reaches_fixed_point(self, grid, params):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_uncontrolled_reaches_fixed_point(self, grid, alpha):
+        params = CouplingParams(alpha=alpha, D=0.25, K=1.0)
         traj = solve_state(gaussian_q0(grid), ControlSet(), params, TimeGrid(40.0, 2000))
         _, R, _, _ = sync_series(traj)
-        fp = stationary_fixed_point(params)
-        assert abs(R[-1] - fp.R_star) / fp.R_star <= 0.02
+        R_star = rotating_wave(params).R_star
+        assert abs(R[-1] - R_star) / R_star <= 0.02
         # nondecreasing after the initial transient
         tail = R[len(R) // 4 :]
         assert np.all(np.diff(tail) >= -1e-7)

@@ -8,10 +8,9 @@ from kurasteer import (
     Field,
     TimeGrid,
     Trajectory,
-    bessel_ratio,
+    rotating_wave,
     solve_state,
     stationary_density,
-    stationary_fixed_point,
     sync_series,
 )
 from kurasteer import oracles
@@ -41,52 +40,74 @@ class TestQuadratureOracle:
         assert np.max(np.abs(w - expected)) <= 1e-12
 
 
-class TestBesselRatio:
-    def test_small_argument_series(self):
-        # I1/I0 ~ x/2 - x^3/16 for small x
-        for x in (1e-4, 1e-3, 1e-2):
-            assert bessel_ratio(x) == pytest.approx(x / 2 - x**3 / 16, abs=x**5)
-
-    def test_large_argument_tends_to_one(self):
-        assert bessel_ratio(500.0) == pytest.approx(1.0, abs=2e-3)
-        assert bessel_ratio(500.0) < 1.0
+def bessel_ratio(x: float) -> float:
+    """I_1(x)/I_0(x) as the ratio of the integrals of exp(x*cos)*cos and
+    exp(x*cos) by the rectangle rule, spectrally exact on 256 nodes."""
+    theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    weight = np.exp(x * np.cos(theta))
+    return float((weight * np.cos(theta)).sum() / weight.sum())
 
 
-class TestStationaryFixedPoint:
-    def test_below_threshold_incoherent(self):
-        # at coupling/diffusion = 2 the ratio curve stays below the diagonal
-        fp = stationary_fixed_point(CouplingParams(D=0.5, K=1.0))
-        assert fp.R_star == 0.0 and fp.converged
-        for r in np.linspace(0.01, 0.99, 99):
-            assert bessel_ratio(2.0 * r) - r < 0.0
+class TestRotatingWave:
+    @pytest.mark.parametrize(
+        "alpha, R_star, omega",
+        [(0.0, 0.83146202, 0.0), (0.2, 0.82192179, -0.13938148),
+         (0.5, 0.75788033, -0.31809012), (1.0, 0.26492589, -0.43738768)],
+    )
+    def test_reference_parameters(self, alpha, R_star, omega):
+        wave = rotating_wave(CouplingParams(alpha=alpha, D=0.25, K=1.0))
+        assert wave.R_star == pytest.approx(R_star, abs=1e-8)
+        assert wave.omega == pytest.approx(omega, abs=1e-8)
+        assert wave.modes[0] == 1.0 and wave.modes[1] == pytest.approx(wave.R_star, abs=1e-14)
 
-    def test_reference_parameters(self, params):
-        fp = stationary_fixed_point(params)  # K=1, D=0.25
-        assert fp.converged
-        assert fp.residual <= 1e-10
-        assert fp.R_star == pytest.approx(0.831462, abs=1e-5)
-        assert bessel_ratio(4.0 * fp.R_star) == pytest.approx(fp.R_star, abs=1e-10)
+    def test_zero_lag_solves_the_bessel_ratio_equation(self, grid, params):
+        # at alpha = 0 the profile is exp(K*R/D*cos) and R = I_1/I_0 of K*R/D
+        R = rotating_wave(params).R_star  # K=1, D=0.25
+        assert bessel_ratio(4.0 * R) == pytest.approx(R, abs=1e-13)
+        von_mises = np.exp(4.0 * R * np.cos(grid.theta - 2.1))
+        q = stationary_density(grid, params, psi=2.1)
+        assert np.max(np.abs(q.values - von_mises / grid.quad(von_mises))) <= 1e-12
 
-    def test_strong_diffusion_incoherent(self):
-        fp = stationary_fixed_point(CouplingParams(D=50.0, K=1.0))
-        assert fp.R_star == 0.0 and fp.converged
+    @pytest.mark.parametrize(
+        "params",
+        [CouplingParams(D=0.5, K=1.0), CouplingParams(D=50.0, K=1.0),
+         CouplingParams(alpha=1.3, D=0.25, K=1.0), CouplingParams(alpha=-2.0, D=0.25, K=1.0)],
+        ids=["D=0.5", "D=50", "alpha=1.3", "alpha=-2"],
+    )
+    def test_incoherent_at_or_below_threshold(self, params):
+        # K*cos(alpha)/D <= 2: only the uniform state solves
+        wave = rotating_wave(params)
+        assert wave.R_star == 0.0 and wave.omega == 0.0
+        assert wave.modes[0] == 1.0 and not np.any(wave.modes[1:])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            stationary_fixed_point(CouplingParams(D=0.0, K=1.0))
+            rotating_wave(CouplingParams(D=0.0, K=1.0))
         with pytest.raises(ValueError):
-            stationary_fixed_point(CouplingParams(D=0.25, K=-1.0))
-        with pytest.raises(ValueError):
-            stationary_fixed_point(CouplingParams(D=0.25, K=1.0, alpha=0.3))
+            rotating_wave(CouplingParams(D=0.25, K=-1.0))
 
-    def test_stationary_density_order_parameter(self, grid, params):
+    def test_strong_lagged_coupling_finds_the_locked_bump(self):
+        # from Omega = 0 Newton falls onto the trivial root R = 0 here; from the
+        # locked bump's rate it finds the coherent wave, which rotates at nearly
+        # that rate, -K*R*sin(alpha)
+        wave = rotating_wave(CouplingParams(alpha=1.2, D=0.25, K=20.0))
+        assert wave.R_star > 0.95 and abs(wave.modes[1] - wave.R_star) <= 1e-14
+        assert wave.omega == pytest.approx(-20.0 * wave.R_star * np.sin(1.2), rel=0.05)
+
+    def test_unresolved_wave_names_its_parameters(self):
+        # K/D = 160: the profile's 64th mode is not negligible
+        with pytest.raises(RuntimeError, match=r"64 modes at CouplingParams\(alpha=0.0, D=0.25, K=40.0\)"):
+            rotating_wave(CouplingParams(D=0.25, K=40.0))
+
+    def test_stationary_density_order_parameter(self, grid):
+        params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
         psi = 2.1
         q = stationary_density(grid, params, psi=psi)
+        assert q.values.min() >= 0.0
         assert grid.quad(q.values) == pytest.approx(1.0, abs=1e-12)
         R, psi_q = polar_order(grid, q.values)
-        fp = stationary_fixed_point(params)
-        assert R == pytest.approx(fp.R_star, abs=1e-8)
-        assert psi_q == pytest.approx(psi, abs=1e-10)
+        assert R == pytest.approx(rotating_wave(params).R_star, abs=1e-8)
+        assert psi_q == pytest.approx(psi, abs=1e-8)
 
 
 class TestParticleEnsemble:
