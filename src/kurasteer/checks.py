@@ -77,11 +77,12 @@ def check_nonlocal_equivalence(seed: int = 1) -> dict:
 
 def check_mass_and_bound(runcfg: RunConfig) -> dict:
     """Mass conservation and the |w[q]| <= 1 transport bound along a solve."""
-    traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
+    base = runcfg.base
+    traj = solve_state(base.q0, ControlSet(), base.params, base.tgrid)
     mass_err = float(np.max(np.abs(traj.mass() - 1.0)))
-    w_max = float(np.max(np.abs(interaction_values(runcfg.grid, traj.data, runcfg.params.alpha))))
-    mismatch = difference_sums(traj.data, runcfg.target_trajectory().data)  # row sums of (q - z)^2
-    terminal_err = float(mismatch[-1] * runcfg.grid.d_theta)
+    w_max = float(np.max(np.abs(interaction_values(base.grid, traj.data, base.params.alpha))))
+    mismatch = difference_sums(traj.data, base.target.data)  # row sums of (q - z)^2
+    terminal_err = float(mismatch[-1] * base.grid.d_theta)
     return {
         "name": "mass_and_transport_bound",
         "passed": mass_err <= MASS_TOL and w_max <= 1.0 + W_BOUND_TOL,

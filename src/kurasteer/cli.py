@@ -86,9 +86,9 @@ def _reject_initial_controls(runcfg: RunConfig, command: str) -> None:
 
 def cmd_simulate(runcfg: RunConfig) -> int:
     _reject_initial_controls(runcfg, "simulate")
-    out = runcfg.output_dir
-    traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-    series, metrics = _state_report(traj, runcfg.target_trajectory(), runcfg.weights.alpha_r)
+    out, base = runcfg.output_dir, runcfg.base
+    traj = solve_state(base.q0, ControlSet(), base.params, base.tgrid)
+    series, metrics = _state_report(traj, base.target, base.weights.alpha_r)
     _write_state(out, traj, series)
     mass = series[3]
     summary = {
@@ -107,14 +107,14 @@ def cmd_optimize(runcfg: RunConfig) -> int:
     problem = runcfg.problem()
     result = optimize(problem)
     # the uncontrolled state, solved as simulate solves it, for side-by-side metrics
-    baseline = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-    _, baseline_metrics = _state_report(baseline, problem.target, runcfg.weights.alpha_r)
-    series, metrics = _state_report(result.state, problem.target, runcfg.weights.alpha_r)
+    baseline = solve_state(problem.q0, ControlSet(), problem.params, problem.tgrid)
+    _, baseline_metrics = _state_report(baseline, problem.target, problem.weights.alpha_r)
+    series, metrics = _state_report(result.state, problem.target, problem.weights.alpha_r)
 
     write_convergence_csv(out / "convergence.csv", result.iterates)
     _write_state(out, result.state, series)
     write_field_file(out / "adjoint.f64", result.adjoint, "adjoint", FIELD_UNITS["adjoint"])
-    for name in runcfg.mode.active_controls:
+    for name in problem.mode.active_controls:
         write_field_file(out / f"control_{name}.f64", result.controls.get(name), name, FIELD_UNITS[name])
 
     summary = {

@@ -2,22 +2,22 @@
 
 One nested dictionary is the schema (see DEFAULT_CONFIG and the README). The
 physics, weights and optimizer sections are the fields and defaults of the
-settings dataclasses; RunConfig materializes the dictionary into solver
-objects.
+settings dataclasses; RunConfig materializes the dictionary into the one
+OcpProblem it describes and the settings of the run around it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .coupling import CouplingParams
 from .dynamics import CONTROLS, ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory
-from .grid import CircleGrid, Field, random_bandlimited
+from .grid import CircleGrid, random_bandlimited
 from .optimizer import CostWeights, OcpProblem, OptimizerConfig
 from .scenarios import DensitySpec, cast_setting, read_samples
 
@@ -127,20 +127,30 @@ def _check_section(cfg: dict) -> dict:
     return check
 
 
+def _choice(cfg: dict, key: str, enum: type):
+    """The member of `enum` that the config value at `key` names."""
+    values = [member.value for member in enum]
+    if cfg[key] not in values:
+        raise ValueError(f"{key} must be one of {', '.join(map(repr, values))}, got {cfg[key]!r}")
+    return enum(cfg[key])
+
+
+def _control_files(cfg: dict) -> dict[str, str]:
+    """The initial-control file of each control that names one (null and ""
+    name none); a value that is not a string names its key."""
+    ic = cfg["initial_controls"]
+    paths = {name: ic[f"{name}_file"] for name in CONTROLS if ic[f"{name}_file"] is not None}
+    return {name: path for name, path in paths.items() if cast_setting(f"initial_controls.{name}_file", path, "")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Materialized configuration: solver objects built from the config dict."""
+    """Materialized configuration: the problem that the config dict
+    describes, with its controls at their baselines (`base`), and the
+    settings of the run around it."""
 
     raw: dict
-    grid: CircleGrid
-    tgrid: TimeGrid
-    params: CouplingParams
-    mode: ControlMode
-    shape: ControlShape
-    weights: CostWeights
-    optimizer: OptimizerConfig
-    q0: Field
-    target_field: Field
+    base: OcpProblem
     check: dict
     seed: int
     output_dir: Path
@@ -149,71 +159,52 @@ class RunConfig:
     def from_dict(cls, cfg: dict) -> "RunConfig":
         disc = _section(cfg, "discretization")
         grid = _settings("discretization", CircleGrid, n_theta=disc["n_theta"])
-        return cls(
-            raw=cfg,
-            grid=grid,
-            tgrid=_settings("discretization", TimeGrid, T=disc["T"], n_t=disc["n_t"]),
-            params=_settings("physics", CouplingParams, **_section(cfg, "physics")),
-            mode=ControlMode(cfg["mode"]),
-            shape=ControlShape(cfg["shape"]),
-            weights=_settings("weights", CostWeights, **_section(cfg, "weights")),
-            optimizer=_settings("optimizer", OptimizerConfig, **_section(cfg, "optimizer")),
-            q0=DensitySpec.from_dict(cfg["scenario"]["q0"], "scenario.q0").build(grid),
-            target_field=DensitySpec.from_dict(cfg["scenario"]["target"], "scenario.target").build(grid),
-            check=_check_section(cfg),
-            seed=cast_setting("seed", cfg["seed"], DEFAULT_CONFIG["seed"]),
-            output_dir=Path(cfg["output_dir"]),
-        )
-
-    def __post_init__(self) -> None:
-        _settings("weights", self.weights.validate_for_mode, mode=self.mode)
-
-    def target_trajectory(self) -> Trajectory:
-        """Static target replicated across all time rows."""
-        return Trajectory.from_field(self.target_field, self.tgrid)
+        tgrid = _settings("discretization", TimeGrid, T=disc["T"], n_t=disc["n_t"])
+        params = _settings("physics", CouplingParams, **_section(cfg, "physics"))
+        mode, shape = _choice(cfg, "mode", ControlMode), _choice(cfg, "shape", ControlShape)
+        weights = _settings("weights", CostWeights, **_section(cfg, "weights"))
+        _settings("weights", weights.validate_for_mode, mode=mode)
+        optimizer = _settings("optimizer", OptimizerConfig, **_section(cfg, "optimizer"))
+        q0, z = (DensitySpec.from_dict(cfg["scenario"][k], f"scenario.{k}").build(grid) for k in ("q0", "target"))
+        base = OcpProblem(grid, tgrid, params, mode, shape, weights, optimizer, q0, Trajectory.from_field(z, tgrid))
+        check = _check_section(cfg)
+        _control_files(cfg)  # every command rejects a control file setting that is not a string
+        seed = cast_setting("seed", cfg["seed"], DEFAULT_CONFIG["seed"])
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        output_dir = Path(cast_setting("output_dir", cfg["output_dir"], DEFAULT_CONFIG["output_dir"]))
+        return cls(raw=cfg, base=base, check=check, seed=seed, output_dir=output_dir)
 
     def initial_controls(self) -> ControlSet:
         """Optional initial-control files plus a seeded random perturbation, for
         the controls that have either; ControlSet gives the others baselines."""
-        ic = self.raw["initial_controls"]
-        for name in CONTROLS:
-            if ic[f"{name}_file"] and name not in self.mode.active_controls:
+        base, files = self.base, _control_files(self.raw)
+        for name in files:
+            if name not in base.mode.active_controls:
                 raise ValueError(
-                    f"initial_controls.{name}_file is set, but mode {self.mode.value!r} "
-                    f"does not optimize {name!r}"
+                    f"initial_controls.{name}_file is set, but mode {base.mode.value!r} does not optimize {name!r}"
                 )
-        scale = cast_setting("initial_controls.perturbation_scale", ic["perturbation_scale"], 0.0)
+        key = "initial_controls.perturbation_scale"
+        scale = cast_setting(key, self.raw["initial_controls"]["perturbation_scale"], 0.0)
         if scale < 0.0:
-            raise ValueError(f"initial_controls.perturbation_scale must be >= 0, got {scale}")
-        shape = (self.tgrid.n_t + 1, self.grid.n_theta)
-        arrays: dict[str, np.ndarray] = {}
-        for name in self.mode.active_controls:
-            path = ic[f"{name}_file"]
-            if path:
-                arrays[name] = read_samples(path, shape[0] * shape[1], f"initial_controls.{name}_file").reshape(shape)
+            raise ValueError(f"{key} must be >= 0, got {scale}")
+        shape = (base.tgrid.n_t + 1, base.grid.n_theta)
+        arrays = {
+            name: read_samples(path, shape[0] * shape[1], f"initial_controls.{name}_file").reshape(shape)
+            for name, path in files.items()
+        }
         if scale > 0.0:
             # numpy.random loads on first use (about 6 MiB of RSS), so only here;
             # the perturbation (one row) goes in place into a file's array, else
             # it is added to the baseline as a new row
             rng = np.random.default_rng(self.seed)
-            for name in self.mode.active_controls:
-                bump = random_bandlimited(self.grid, rng, scale=scale).values
-                start = arrays.get(name, CONTROLS[name].baseline(self.params))
+            for name in base.mode.active_controls:
+                bump = random_bandlimited(base.grid, rng, scale=scale).values
+                start = arrays.get(name, CONTROLS[name].baseline(base.params))
                 arrays[name] = np.add(start, bump, out=arrays.get(name))
         return ControlSet(
-            **{name: Trajectory(self.grid, self.tgrid, np.broadcast_to(arr, shape)) for name, arr in arrays.items()}
+            **{name: Trajectory(base.grid, base.tgrid, np.broadcast_to(arr, shape)) for name, arr in arrays.items()}
         )
 
     def problem(self) -> OcpProblem:
-        return OcpProblem(
-            grid=self.grid,
-            tgrid=self.tgrid,
-            params=self.params,
-            mode=self.mode,
-            shape=self.shape,
-            weights=self.weights,
-            optimizer=self.optimizer,
-            q0=self.q0,
-            target=self.target_trajectory(),
-            initial=self.initial_controls(),
-        )
+        return replace(self.base, initial=self.initial_controls())

@@ -384,6 +384,7 @@ def _lawson_heun(
     name: str,
     lift: ComplexArray | None = None,
     consume: Callable[[int, FloatArray], bool] | None = None,
+    advance: Callable[[int], None] | None = None,
 ) -> FloatArray | None:
     """Heun on a rate composed with the exact heat propagator P, carried in rfft space.
 
@@ -416,7 +417,8 @@ def _lawson_heun(
     With `consume`, no row is stored and the solve returns None: every row,
     rows[0] first, goes to consume(k, y) in a buffer that the next step
     overwrites, and consume returns whether the row is finite (its answer
-    for rows[0] is not read).
+    for rows[0] is not read). With `advance`, advance(k) is called once per
+    row k, before the first rate or consume call that reads row k.
 
     Finiteness is checked once, after the last step: the first non-finite
     row in integration order names the step at which the solve went bad.
@@ -425,6 +427,8 @@ def _lawson_heun(
     forward, one, inverse, inv_n = transform_kernels(n)
     one_half = np.array(0.5)
     data = bad = None
+    if advance is not None:
+        advance(rows[0])
     if consume is None:
         data = np.empty(y0.shape[:-1] + (len(rows), n))
         data[..., rows[0], :] = y0
@@ -450,6 +454,8 @@ def _lawson_heun(
         row = out if data is None else data[..., b, :]
         multiply(prop, y_hat, half)
         rate(a, y if lift is None else inverse(multiply(lift, y_hat, lifted), inv_n, x), y_hat, 0, inc)
+        if advance is not None:
+            advance(b)
         add(half, inc, pred)
         add(half, pred, half)
         multiply(half, one_half, half)
@@ -492,9 +498,9 @@ def _solve_states(
     With `fill`, the stack is made one row at a time and no state is kept:
     `controls` maps names to one (B, n_theta) buffer each, into which fill(k)
     writes row k of every history; every row is made before the first step,
-    for each history's max|u| in the CFL limit, and again as the solve steps.
-    Each state row goes to consume(k, q) while the buffers hold row k (see
-    _lawson_heun), and the call returns None.
+    for each history's max|u| in the CFL limit, and again as the solve steps,
+    as the stepper's advance. Each state row goes to consume(k, q) while the
+    buffers hold row k (see _lawson_heun), and the call returns None.
     """
     grid = q0.grid
     mass0 = grid.quad(q0.values)
@@ -508,17 +514,9 @@ def _solve_states(
     if fill is None:
         peaks = {n: _peak(u) for n, u in advecting.items()}
     else:
-        held = None
-
-        def at(k: int) -> None:
-            nonlocal held
-            if k != held:
-                fill(k)
-                held = k
-
         peaks = dict.fromkeys(advecting, 0.0)
         for k in range(n_rows):
-            at(k)
+            fill(k)
             for n, row in advecting.items():
                 peaks[n] = np.maximum(peaks[n], _peak(row, -1))
         # every row of these views is the buffer, which holds the row last filled
@@ -545,20 +543,14 @@ def _solve_states(
         drift = np.max(np.abs(grid.quad_rows(data) - mass0)) if src is None else 0.0
     else:
         drift = 0.0
-        row_rate = rate
-
-        def rate(k: int, q: FloatArray, c: ComplexArray, stage: int, out: ComplexArray) -> None:
-            at(k)
-            row_rate(k, q, c, stage, out)
 
         def take(k: int, q: FloatArray) -> bool:
             nonlocal drift
-            at(k)
             if src is None:
                 drift = np.maximum(drift, np.max(np.abs(grid.quad_rows(q) - mass0)))
             return consume(k, q)
 
-        data = _lawson_heun(prop, dt, y0, rate, range(n_rows), "state", consume=take)
+        data = _lawson_heun(prop, dt, y0, rate, range(n_rows), "state", consume=take, advance=fill)
     if src is None and float(drift) > 1e-8:
         raise NumericsError(f"mass drifted by {float(drift):.3e} despite flux form")
     return data

@@ -19,7 +19,7 @@ from .dynamics import CONTROLS, ControlSet, TimeGrid
 from .grid import TWO_PI, CircleGrid, ComplexArray, Field, FloatArray
 
 SYNC_THRESHOLD = 2.0  # K*cos(alpha)/D at or below which only R = 0 solves
-N_MODES = 64  # continued-fraction depth of the rotating wave
+MIN_MODES = 64  # continued-fraction depth of the rotating wave at K/D <= 40.96
 NEWTON_TOL = 1e-14  # on the self-consistency residual and the truncated mode
 NEWTON_FD_STEP = 1e-7
 NEWTON_MAX_STEPS = 50
@@ -45,8 +45,8 @@ def adjoint_quadrature(grid: CircleGrid, values: FloatArray, alpha: float) -> Fl
 @dataclass(frozen=True)
 class RotatingWave:
     """Synchronized steady state: coherence R_star, rotation rate omega, and
-    modes[k] = c_k, k = 0..N_MODES, the integrals of Q(phi)*exp(-i*k*phi) of
-    its profile Q in the co-rotating frame, so c_0 = 1 and c_1 = R_star."""
+    modes[k] = c_k, k = 0..n (see _modes), the integrals of Q(phi)*exp(-i*k*phi)
+    of its profile Q in the co-rotating frame, so c_0 = 1 and c_1 = R_star."""
 
     R_star: float
     omega: float
@@ -54,12 +54,15 @@ class RotatingWave:
 
 
 def _modes(params: CouplingParams, R: float, omega: float) -> ComplexArray:
-    """c_0..c_N_MODES of the stationary profile in the frame rotating at omega under
+    """c_0..c_n of the stationary profile in the frame rotating at omega under
     coherence R. Their ratios r_k = c_k/c_(k-1) follow the continued fraction, from
-    r_(N_MODES+1) = 0: r_k = a*e^(i*alpha) / (D*k - i*omega + a*e^(-i*alpha)*r_(k+1)), a = K*R/2."""
+    r_(n+1) = 0: r_k = a*e^(i*alpha) / (D*k - i*omega + a*e^(-i*alpha)*r_(k+1)), a = K*R/2.
+    The depth is n = max(MIN_MODES, ceil(10*sqrt(K/D))): the modes fall like
+    exp(-k^2*D/(2*K*R)), so at R <= 1 the last is below roundoff."""
     a, lag = 0.5 * params.K * R, np.exp(1j * params.alpha)
-    ratios = [0j]  # r_(N_MODES+1), then r_N_MODES down to r_1
-    for k in range(N_MODES, 0, -1):
+    ratios = [0j]  # r_(n+1), then r_n down to r_1
+    depth = max(MIN_MODES, int(np.ceil(10.0 * np.sqrt(params.K / params.D))))
+    for k in range(depth, 0, -1):
         ratios.append(a * lag / (params.D * k - 1j * omega + a * np.conj(lag) * ratios[-1]))
     return np.cumprod([1.0, *ratios[:0:-1]])
 
@@ -87,14 +90,17 @@ def rotating_wave(params: CouplingParams) -> RotatingWave:
         x = x - np.linalg.solve(jac, f)
     modes = _modes(params, *x)
     if np.max(np.abs(f)) > NEWTON_TOL or x[0] <= 0.0 or abs(modes[-1]) > NEWTON_TOL:
-        raise RuntimeError(f"Newton found no rotating wave with R > 0 resolved by {N_MODES} modes at {params}")
+        raise RuntimeError(
+            f"Newton found no rotating wave with R > 0 resolved by {modes.size - 1} modes at {params}"
+        )
     return RotatingWave(float(x[0]), float(x[1]) + 0.0, modes)  # + 0.0: no -0.0 at alpha = 0
 
 
 def stationary_density(grid: CircleGrid, params: CouplingParams, psi: float = 0.0) -> Field:
     """Grid-normalized profile of rotating_wave with mean phase psi, summed from its modes."""
-    phases = np.exp(1j * np.outer(grid.theta - psi, np.arange(N_MODES + 1)))
-    raw = 2.0 * (phases @ rotating_wave(params).modes).real - 1.0  # the sum over k = -N_MODES..N_MODES, as c_0 = 1
+    modes = rotating_wave(params).modes
+    phases = np.exp(1j * np.outer(grid.theta - psi, np.arange(len(modes))))
+    raw = 2.0 * (phases @ modes).real - 1.0  # the sum over k = -n..n, as c_0 = 1
     return Field(grid, raw / grid.quad(raw))
 
 

@@ -75,9 +75,9 @@ class TestConfig:
 
     def test_defaults_are_the_dataclass_defaults(self):
         runcfg = RunConfig.from_dict(load_config())
-        assert runcfg.params == CouplingParams()
-        assert runcfg.weights == CostWeights()
-        assert runcfg.optimizer == OptimizerConfig()
+        assert runcfg.base.params == CouplingParams()
+        assert runcfg.base.weights == CostWeights()
+        assert runcfg.base.optimizer == OptimizerConfig()
 
     def test_file_density_spec_with_kind_replaces_default(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -178,12 +178,31 @@ class TestConfig:
             # a weight that the mode needs to be positive, though the command may not read it
             ("weights.beta1=0", "weights.beta1, the energy weight of active control 'u1', must be > 0"),
             ('weights={"alpha_r":0,"alpha_t":0}', "weights.alpha_r and alpha_t, the tracking weights, are both 0"),
+            # a choice names its key and the choices
+            ("mode=bogus", "mode must be one of 'velocity', 'interaction', 'linear_source', 'joint', got 'bogus'"),
+            ("shape=nope", "shape must be one of 'space_time', 'space_only', 'time_only', 'constant', got 'nope'"),
+            # a seed is a whole number >= 0, from the config or from --seed
+            ("seed=-1", "seed must be >= 0, got -1"),
+            (("--seed", "-2"), "seed must be >= 0, got -2"),
+            # a path is a string
+            ("output_dir=5", "output_dir must be a string, got 5"),
+            ("output_dir=null", "output_dir must be a string, got None"),
+            ("initial_controls.u1_file=5", "initial_controls.u1_file must be a string, got 5"),
+            ("initial_controls.u1_file=true", "initial_controls.u1_file must be a string, got True"),
+            # an override is key=value, and its sections exist
+            ("physics.D", "override 'physics.D' is not of the form key=value"),
+            ("physic.D=0.1", "unknown config section 'physic' in override 'physic.D'"),
         ],
     )
-    def test_mistyped_setting_hard_error(self, tmp_path, capsys, override, field):
-        code = main(["simulate", "--out", str(tmp_path / "x"), *FAST, "--set", override])
+    def test_mistyped_setting_hard_error(self, tmp_path, monkeypatch, capsys, override, field):
+        # no --out, which would replace output_dir: the run's directory is the
+        # default, under tmp_path
+        monkeypatch.chdir(tmp_path)
+        args = list(override) if isinstance(override, tuple) else ["--set", override]
+        code = main(["simulate", *FAST, *args])
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     OPT_FAST = [
         "--set", "discretization.n_theta=32",
@@ -254,7 +273,7 @@ class TestConfig:
             f"physics.K={K}", f"initial_controls.perturbation_scale={scale}",
         ], None, seed))
         u2 = runcfg.initial_controls().u2.data
-        bump = random_bandlimited(runcfg.grid, np.random.default_rng(seed), scale=scale).values
+        bump = random_bandlimited(runcfg.base.grid, np.random.default_rng(seed), scale=scale).values
         assert np.array_equal(u2, np.broadcast_to(K + bump, u2.shape))
 
     def test_control_file_read_once(self, tmp_path, traced_peak):
@@ -271,7 +290,7 @@ class TestConfig:
         held = []
         peak = traced_peak(lambda: held.append(runcfg.initial_controls()))
         assert peak <= 1.2 * (n_t + 1) * n_theta * 8
-        bump = random_bandlimited(runcfg.grid, np.random.default_rng(seed), scale=scale).values
+        bump = random_bandlimited(runcfg.base.grid, np.random.default_rng(seed), scale=scale).values
         u2 = held[0].u2.data
         assert not u2.flags.writeable
         assert np.array_equal(u2, start + bump[None, :])
@@ -478,8 +497,9 @@ class TestCheck:
     def test_mass_and_bound_is_row_by_row_exact(self):
         overrides = ["discretization.n_t=600", "discretization.T=3.0", "physics.alpha=0.5"]
         runcfg = RunConfig.from_dict(load_config(None, overrides))
-        traj = solve_state(runcfg.q0, ControlSet(), runcfg.params, runcfg.tgrid)
-        rows = [interaction_values(runcfg.grid, traj.data[k], 0.5) for k in range(runcfg.tgrid.n_t + 1)]
+        base = runcfg.base
+        traj = solve_state(base.q0, ControlSet(), base.params, base.tgrid)
+        rows = [interaction_values(base.grid, traj.data[k], 0.5) for k in range(base.tgrid.n_t + 1)]
         w_max = max(float(np.max(np.abs(w))) for w in rows)
         assert check_mass_and_bound(runcfg)["max_transport_field"] == w_max
 
@@ -492,7 +512,7 @@ class TestCheck:
             if name.startswith("kurasteer") and hasattr(module, "adjoint_kernel_table"):
                 monkeypatch.setattr(module, "adjoint_kernel_table", unflipped)
         runcfg = RunConfig.from_dict(load_config(None, self.CHECK_FAST[1::2]))
-        assert runcfg.params.alpha == 0.0
+        assert runcfg.base.params.alpha == 0.0
         report = run_all_checks(runcfg)
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert {"spectral_identities", "nonlocal_equivalence"} <= failed

@@ -227,6 +227,17 @@ class TestSolveState:
         with pytest.raises(ValueError, match="integrate to 1"):
             solve_state(Field.constant(grid, 1.0), ControlSet(), params, TimeGrid(1.0, 200))
 
+    def test_negative_q0_rejected(self, grid, params):
+        q0 = Field(grid, 1 / (2 * np.pi) + 0.5 * np.cos(grid.theta))  # unit mass, negative near pi
+        with pytest.raises(ValueError, match="q0 must be nonnegative"):
+            solve_state(q0, ControlSet(), params, TimeGrid(1.0, 200))
+
+    @pytest.mark.parametrize("n_theta, n_t", [(64, 200), (128, 100)], ids=["theta", "time"])
+    def test_off_grid_control_rejected(self, grid, params, n_theta, n_t):
+        u1 = Trajectory.constant(CircleGrid(n_theta), TimeGrid(1.0, n_t), 0.0)
+        with pytest.raises(ValueError, match="control 'u1' is not on the solver grid"):
+            solve_state(gaussian_q0(grid), ControlSet(u1=u1), params, TimeGrid(1.0, 200))
+
     def test_source_injects_mass(self, grid, params):
         # linear-source mode: a nonzero-mean source changes the total mass
         tg = TimeGrid(1.0, 200)
@@ -279,6 +290,12 @@ class TestAdjoint:
         lhs = grid.quad(adjoint_values(grid, inner_arg, params.alpha) * psi.values)
         rhs = grid.quad(interaction_values(grid, psi.values, params.alpha) * inner_arg)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+    def test_off_grid_target_rejected(self, grid, params):
+        q_traj = solve_state(gaussian_q0(grid), ControlSet(), params, TimeGrid(1.0, 200))
+        z_traj = Trajectory.constant(grid, TimeGrid(1.0, 100), 0.0)
+        with pytest.raises(ValueError, match="target trajectory is not on the state grid"):
+            solve_adjoint(q_traj, z_traj, ControlSet(), params, (1.0, 10.0))
 
     def test_target_equals_state_gives_zero_adjoint(self, grid, params):
         tg = TimeGrid(1.0, 200)
@@ -496,7 +513,9 @@ class TestBatchedStepper:
         assert batch.shape == (4, tg.n_t + 1, grid.n_theta)
         for i in range(4):
             cs = ControlSet(**{n: Trajectory(grid, tg, arr[i]) for n, arr in controls.items()})
-            single = solve_state(q0, cs, params, tg).data
+            # each single solve dips to -1.3e-3 .. -1.5e-2, and solve_state says so
+            with pytest.warns(ResolutionWarning, match=r"^state density reached min -\d\.\d{3}e-0[23]; increase"):
+                single = solve_state(q0, cs, params, tg).data
             assert np.max(np.abs(batch[i] - single)) <= 1e-13
             assert np.array_equal(batch[i, 0], q0.values)
 

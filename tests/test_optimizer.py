@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 
@@ -91,6 +92,23 @@ class TestWeightsAndConfig:
                 grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
                 shape=ControlShape.SPACE_TIME, weights=CostWeights(beta1=0.0),
                 optimizer=OptimizerConfig(), q0=q0, target=z,
+            )
+
+    @pytest.mark.parametrize(
+        "field, other, message",
+        [("q0", dict(n_theta=64), "q0 is not on the problem grid"),
+         ("target", dict(n_theta=64), "target trajectory is not on the problem grids"),
+         ("target", dict(n_t=100), "target trajectory is not on the problem grids")],
+        ids=["q0", "target-theta", "target-time"],
+    )
+    def test_off_grid_problem_rejected(self, field, other, message):
+        grid, tgrid, params, q0, z = small_setup()
+        off_grid = dict(zip(("q0", "target"), small_setup(**other)[3:]))[field]
+        with pytest.raises(ValueError, match=message):
+            OcpProblem(
+                grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
+                shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+                optimizer=OptimizerConfig(), **{"q0": q0, "target": z, field: off_grid},
             )
 
     def test_optimizer_config_validation(self):
@@ -238,7 +256,8 @@ class TestReducedGradient:
         w = CostWeights(alpha_r=0.0, alpha_t=0.0)
         u1 = Trajectory(grid, tgrid, 0.2 * rng.standard_normal((tgrid.n_t + 1, grid.n_theta)))
         cs = ControlSet(u1=u1)
-        q = solve_state(q0, cs, params, tgrid)
+        with pytest.warns(ResolutionWarning, match=r"^state density reached min -2\.\d{3}e-04; increase"):
+            q = solve_state(q0, cs, params, tgrid)  # the rough u1 dips the state to -2.0e-4
         p = Trajectory.constant(grid, tgrid, 0.0)
         g = reduced_gradient(q, p, cs, w, ControlMode.VELOCITY, params)["u1"]
         delta = rng.standard_normal(g.shape)
@@ -938,7 +957,9 @@ class TestOptimize:
             shape=ControlShape.SPACE_TIME, weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=5), q0=q0, target=z,
         )
-        res = optimize(prob)
+        # the source drives the optimized state to -4.855e-2 (a known defect)
+        with pytest.warns(ResolutionWarning, match=r"^optimized state density reached min -4\.\d{3}e-02; increase"):
+            res = optimize(prob)
         assert res.final.J < res.iterates[0].J
         assert np.max(np.abs(res.controls.source.data)) > 0.0
 
@@ -1074,3 +1095,21 @@ class TestBacktracking:
         assert np.array_equal(u2["u1"], self.candidate(prob, u0, e, s))
         # the candidate pins the step to the last bit
         assert not np.array_equal(u2["u1"], self.candidate(prob, u0, e, np.nextafter(s, 0.0)))
+
+    def test_no_predicted_decrease_stalls_without_a_trial(self, monkeypatch):
+        # from u1 at its cap, a constant gradient of -1 points every candidate
+        # u - s*e past the cap, where it clips back onto u: no candidate
+        # predicts a decrease, so no trial is solved and the search stalls
+        grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=200, T=1.0)
+        prob = OcpProblem(
+            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
+            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            optimizer=OptimizerConfig(max_iters=1), q0=q0, target=z,
+        )
+        at_cap = Trajectory.constant(grid, tgrid, _advective_caps(prob)["u1"])
+        prob = dataclasses.replace(prob, initial=ControlSet(u1=at_cap))
+        monkeypatch.setattr(optimizer, "reduced_gradient", lambda *args: {"u1": np.full(at_cap.data.shape, -1.0)})
+        res = optimize(prob)
+        assert res.status == "stalled" and res.line_search_trials == 0
+        assert (res.state_solves, res.adjoint_solves) == (2, 2)  # the start, and again at the control it returns
+        assert np.array_equal(res.controls.u1.data, at_cap.data)

@@ -94,10 +94,19 @@ class TestRotatingWave:
         assert wave.R_star > 0.95 and abs(wave.modes[1] - wave.R_star) <= 1e-14
         assert wave.omega == pytest.approx(-20.0 * wave.R_star * np.sin(1.2), rel=0.05)
 
-    def test_unresolved_wave_names_its_parameters(self):
-        # K/D = 160: the profile's 64th mode is not negligible
-        with pytest.raises(RuntimeError, match=r"64 modes at CouplingParams\(alpha=0.0, D=0.25, K=40.0\)"):
-            rotating_wave(CouplingParams(D=0.25, K=40.0))
+    @pytest.mark.parametrize("K, depth", [(15.0, 78), (40.0, 127)])
+    def test_strong_coupling_is_resolved(self, K, depth):
+        # K/D = 60 and 160, where 64 modes left the last one above roundoff:
+        # the depth is ceil(10*sqrt(K/D)), and the wave solves R = I_1/I_0(K*R/D)
+        wave = rotating_wave(CouplingParams(D=0.25, K=K))
+        assert len(wave.modes) == depth + 1 and abs(wave.modes[-1]) <= 1e-14
+        assert bessel_ratio(4.0 * K * wave.R_star) == pytest.approx(wave.R_star, abs=1e-13)
+
+    def test_unresolved_wave_names_its_parameters(self, monkeypatch):
+        # one Newton step leaves the residual above the tolerance
+        monkeypatch.setattr(oracles, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"64 modes at CouplingParams\(alpha=0.0, D=0.25, K=1.0\)"):
+            rotating_wave(CouplingParams(D=0.25, K=1.0))
 
     def test_stationary_density_order_parameter(self, grid):
         params = CouplingParams(alpha=0.5, D=0.25, K=1.0)
