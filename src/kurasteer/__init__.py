@@ -10,7 +10,6 @@ from .dynamics import (
     CFLError,
     ControlMode,
     ControlSet,
-    ControlShape,
     NumericsError,
     ResolutionWarning,
     TimeGrid,
@@ -48,7 +47,6 @@ __all__ = [
     "CircleGrid",
     "ControlMode",
     "ControlSet",
-    "ControlShape",
     "CostWeights",
     "CouplingParams",
     "DensitySpec",

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .coupling import adjoint_values, interaction_coefficient_table, interaction_values
-from .dynamics import ControlMode, ControlSet, ControlShape, solve_state
+from .dynamics import ControlMode, ControlSet, solve_state
 from .grid import CircleGrid, random_bandlimited, rfft
 from .optimizer import OcpProblem, difference_sums, gradient_check
 from .oracles import adjoint_quadrature, interaction_quadrature
@@ -94,14 +94,13 @@ def check_mass_and_bound(runcfg: RunConfig) -> dict:
 
 def coarse_problem(runcfg: RunConfig, mode: ControlMode) -> OcpProblem:
     """Gradient-check setup: the run's scenario, physics and weights on the
-    check section's grids, space-time controls of the given mode from the
-    baseline, and the default optimizer settings."""
+    check section's grids, the controls of the given mode at their
+    baselines, and the default optimizer settings."""
     raw = runcfg.raw
     return RunConfig.from_dict({
         **raw,
         "discretization": {key: runcfg.check[key] for key in raw["discretization"]},
         "mode": mode.value,
-        "shape": ControlShape.SPACE_TIME.value,
         "optimizer": DEFAULT_CONFIG["optimizer"],
         "initial_controls": DEFAULT_CONFIG["initial_controls"],
     }).problem()

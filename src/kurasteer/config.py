@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import CouplingParams
-from .dynamics import CONTROLS, ControlMode, ControlSet, ControlShape, TimeGrid, Trajectory
+from .dynamics import CONTROLS, ControlMode, ControlSet, TimeGrid, Trajectory
 from .grid import CircleGrid, random_bandlimited
 from .optimizer import CostWeights, OcpProblem, OptimizerConfig
 from .scenarios import DensitySpec, cast_setting, read_samples
@@ -25,7 +25,6 @@ DEFAULT_CONFIG: dict = {
     "physics": asdict(CouplingParams()),
     "discretization": {"n_theta": 128, "n_t": 2000, "T": 10.0},
     "mode": "velocity",
-    "shape": "space_time",
     "weights": asdict(CostWeights()),
     "optimizer": asdict(OptimizerConfig()),
     "scenario": {
@@ -58,7 +57,7 @@ def apply_override(cfg: dict, key: str, value: object) -> None:
     node, prefix = cfg, ""
     for part in sections:
         if part not in node or not isinstance(node[part], dict):
-            raise KeyError(f"unknown config section {part!r} in override {key!r}")
+            raise ValueError(f"unknown config section {part!r} in override {key!r}")
         node, prefix = node[part], prefix + part + "."
     _merge(node, {last: value}, prefix)
 
@@ -90,7 +89,7 @@ def _merge(base: dict, update: dict, prefix: str = "") -> None:
     spec whole, one without merges field by field."""
     for key, value in update.items():
         if key not in base:
-            raise KeyError(f"unknown config key {prefix + key!r}")
+            raise ValueError(f"unknown config key {prefix + key!r}")
         node = base[key]
         if isinstance(node, dict) and not isinstance(value, dict):
             raise ValueError(f"config section {prefix + key!r} must be a JSON object, got {value!r}")
@@ -127,14 +126,6 @@ def _check_section(cfg: dict) -> dict:
     return check
 
 
-def _choice(cfg: dict, key: str, enum: type):
-    """The member of `enum` that the config value at `key` names."""
-    values = [member.value for member in enum]
-    if cfg[key] not in values:
-        raise ValueError(f"{key} must be one of {', '.join(map(repr, values))}, got {cfg[key]!r}")
-    return enum(cfg[key])
-
-
 def _control_files(cfg: dict) -> dict[str, str]:
     """The initial-control file of each control that names one (null and ""
     name none); a value that is not a string names its key."""
@@ -161,12 +152,15 @@ class RunConfig:
         grid = _settings("discretization", CircleGrid, n_theta=disc["n_theta"])
         tgrid = _settings("discretization", TimeGrid, T=disc["T"], n_t=disc["n_t"])
         params = _settings("physics", CouplingParams, **_section(cfg, "physics"))
-        mode, shape = _choice(cfg, "mode", ControlMode), _choice(cfg, "shape", ControlShape)
+        modes = [member.value for member in ControlMode]
+        if cfg["mode"] not in modes:
+            raise ValueError(f"mode must be one of {', '.join(map(repr, modes))}, got {cfg['mode']!r}")
+        mode = ControlMode(cfg["mode"])
         weights = _settings("weights", CostWeights, **_section(cfg, "weights"))
         _settings("weights", weights.validate_for_mode, mode=mode)
         optimizer = _settings("optimizer", OptimizerConfig, **_section(cfg, "optimizer"))
         q0, z = (DensitySpec.from_dict(cfg["scenario"][k], f"scenario.{k}").build(grid) for k in ("q0", "target"))
-        base = OcpProblem(grid, tgrid, params, mode, shape, weights, optimizer, q0, Trajectory.from_field(z, tgrid))
+        base = OcpProblem(grid, tgrid, params, mode, weights, optimizer, q0, Trajectory.from_field(z, tgrid))
         check = _check_section(cfg)
         _control_files(cfg)  # every command rejects a control file setting that is not a string
         seed = cast_setting("seed", cfg["seed"], DEFAULT_CONFIG["seed"])

@@ -175,15 +175,6 @@ _ACTIVE = {
 }
 
 
-class ControlShape(str, Enum):
-    """Dependence pattern the control is restricted to."""
-
-    SPACE_TIME = "space_time"
-    SPACE_ONLY = "space_only"
-    TIME_ONLY = "time_only"
-    CONSTANT = "constant"
-
-
 @dataclass(frozen=True)
 class ControlSpec:
     """The facts of one control mechanism, written down only in CONTROLS."""

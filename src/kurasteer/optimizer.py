@@ -14,10 +14,7 @@ penalize_absolute_u2 to penalize u2 itself.
 
 All inner products, norms and cost integrals use the discrete L2(dtheta dt)
 weighting with trapezoidal time weights, making step sizes and tolerances
-resolution-independent. Restricted control dependences (space-only,
-time-only, constant) are handled by orthogonal projection of the space-time
-gradient, i.e. averaging over the suppressed coordinate, which is the exact
-gradient of the restricted problem.
+resolution-independent. Every control is a space-time field u(theta, t).
 
 The descent steps along the Sobolev gradient M^-1 g of the H1(theta) metric
 M (see sobolev), not along g: the direction is smooth in theta, and the
@@ -40,7 +37,6 @@ from .dynamics import (
     CFLError,
     ControlMode,
     ControlSet,
-    ControlShape,
     ControlSpec,
     NumericsError,
     ResolutionWarning,
@@ -126,7 +122,6 @@ class OcpProblem:
     tgrid: TimeGrid
     params: CouplingParams
     mode: ControlMode
-    shape: ControlShape
     weights: CostWeights
     optimizer: OptimizerConfig
     q0: Field
@@ -214,27 +209,11 @@ def difference_sums(a: FloatArray, b: FloatArray | float) -> FloatArray:
     return _row_sums(a.shape, fill)
 
 
-def shape_project(arr: FloatArray, shape: ControlShape, tgrid: TimeGrid) -> FloatArray:
-    """Orthogonal L2(dtheta dt) projection onto the control-shape subspace."""
-    if shape is ControlShape.SPACE_TIME:
-        return arr
-    wt = tgrid.trapezoid_weights
-    if shape is ControlShape.SPACE_ONLY:
-        # a broadcast history would take matmul's non-BLAS loop, which rounds differently
-        avg = wt @ np.ascontiguousarray(arr) / wt.sum()
-        return np.broadcast_to(avg, arr.shape).copy()
-    if shape is ControlShape.TIME_ONLY:
-        avg = arr.mean(axis=1)
-        return np.broadcast_to(avg[:, None], arr.shape).copy()
-    c = float(wt @ arr.mean(axis=1)) / wt.sum()
-    return np.full(arr.shape, c)
-
-
 def sobolev(grid: CircleGrid, x: FloatArray, inverse: bool, out: FloatArray | None = None) -> FloatArray:
     """M x, or M^-1 x when inverse, for M = I - l**2 d^2/dtheta^2 with
     l = SOBOLEV_LENGTH: rfft mode k of each row is multiplied, or divided, by
     1 + (l k)**2, one block of rows at a time, into out (made if None; it may
-    be x). Rows constant in theta are kept, so M commutes with shape_project."""
+    be x)."""
     out = np.empty_like(x) if out is None else out
     factor = 1.0 + (SOBOLEV_LENGTH * grid.wavenumbers) ** 2
     for rows in row_blocks(len(x)):
@@ -262,12 +241,9 @@ def _advective_caps(problem: OcpProblem) -> dict[str, float]:
 
 
 def _baseline_arrays(problem: OcpProblem) -> dict[str, FloatArray]:
-    """Initial histories of the active controls, projected onto the shape."""
-    grid, tgrid = problem.grid, problem.tgrid
-    return {
-        name: shape_project(problem.initial.array(name, grid, tgrid, problem.params), problem.shape, tgrid)
-        for name in problem.mode.active_controls
-    }
+    """Initial histories of the active controls."""
+    grid, tgrid, params = problem.grid, problem.tgrid, problem.params
+    return {name: problem.initial.array(name, grid, tgrid, params) for name in problem.mode.active_controls}
 
 
 def _evaluate(
@@ -380,7 +356,6 @@ def reduced_gradient(
     weights: CostWeights,
     mode: ControlMode,
     params: CouplingParams,
-    shape: ControlShape = ControlShape.SPACE_TIME,
 ) -> dict[str, FloatArray]:
     """Space-time gradient arrays for every active control of the mode.
 
@@ -399,7 +374,7 @@ def reduced_gradient(
         for name, grad in grads.items():
             grad[rows] += CONTROLS[name].gradient_kernel(grid, params.alpha, q[rows], p[rows], dp)
         del dp  # before the next block's is made
-    return {name: shape_project(grad, shape, tgrid) for name, grad in grads.items()}
+    return grads
 
 
 def _grad_norm(grid: CircleGrid, tgrid: TimeGrid, g: dict[str, FloatArray]) -> float:
@@ -487,7 +462,7 @@ def optimize(problem: OcpProblem) -> OptResult:
     s = INITIAL_STEP  # the next search's first step
 
     for it in range(problem.optimizer.max_iters + 1):
-        g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params, problem.shape)
+        g = reduced_gradient(q_traj, p_traj, cs, weights, mode, params)
         gn = _grad_norm(grid, tgrid, g)
         records.append(IterationRecord(it, j, j_q, j_u, gn, step_used, bt_used, trials_used))
         logger.info("iter %3d  J=%.9e  |grad|=%.3e  step=%.2e  bt=%d", it, j, gn, step_used, bt_used)
@@ -604,18 +579,13 @@ class Directions:
         return out
 
 
-def _smooth_direction(
-    rng: random.Random, grid: CircleGrid, tgrid: TimeGrid, shape: ControlShape, dirs: Directions, d: int
-) -> None:
+def _smooth_direction(rng: random.Random, grid: CircleGrid, tgrid: TimeGrid, dirs: Directions, d: int) -> None:
     """Draw direction d of dirs, a random band-limited direction that is
     resolution-independent: a constant drawn from N(0, 1), so that a uniform
     gradient error shows in every direction, plus three separable modes
     cos(pi j t / T + a) cos(k theta + b) with k < 7, j < 4, N(0, 1)
     amplitudes and uniform phases a, b. The draws and the modes' time and
-    angle factors are kept, not the history. The direction is projected onto
-    `shape` through its factors: space_only replaces each time factor by its
-    trapezoid time average, time_only each angle factor by its theta mean,
-    and constant does both."""
+    angle factors are kept, not the history."""
     th, t = grid.theta, tgrid.times
     dirs.mean[d] = rng.gauss(0.0, 1.0)
     for m in range(3):
@@ -624,11 +594,6 @@ def _smooth_direction(
         dirs.amp[d, m] = rng.gauss(0.0, 1.0)
         dirs.time[d, m] = np.cos(np.pi * j * t / tgrid.T + rng.uniform(0.0, TWO_PI))
         dirs.angle[d, m] = np.cos(k * th + rng.uniform(0.0, TWO_PI))
-    if shape in (ControlShape.SPACE_ONLY, ControlShape.CONSTANT):
-        wt = tgrid.trapezoid_weights
-        dirs.time[d] = (dirs.time[d] @ wt / wt.sum())[:, None]
-    if shape in (ControlShape.TIME_ONLY, ControlShape.CONSTANT):
-        dirs.angle[d] = dirs.angle[d].mean(axis=1, keepdims=True)
 
 
 def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) -> GradientCheckReport:
@@ -663,7 +628,7 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
     u0 = _baseline_arrays(problem)
     cs0, q0_traj, (j0, _, _) = _evaluate(problem, u0)
     p_traj = solve_adjoint(q0_traj, problem.target, cs0, params, (weights.alpha_r, weights.alpha_t))
-    g = reduced_gradient(q0_traj, p_traj, cs0, weights, mode, params, problem.shape)
+    g = reduced_gradient(q0_traj, p_traj, cs0, weights, mode, params)
     del cs0, q0_traj, p_traj  # the probes need only u0 and the directions
     gn = _grad_norm(grid, tgrid, g)
     deltas = {n: Directions.empty(n_directions, grid, tgrid) for n in u0}
@@ -680,7 +645,7 @@ def gradient_check(problem: OcpProblem, n_directions: int = 5, seed: int = 0) ->
     def draw_direction(d: int) -> float:
         for _ in range(20):
             for n in u0:
-                _smooth_direction(rng, grid, tgrid, problem.shape, deltas[n], d)
+                _smooth_direction(rng, grid, tgrid, deltas[n], d)
             g_adj = sum(inner(n, d, g[n]) for n in u0)
             if gn == 0.0:
                 return g_adj

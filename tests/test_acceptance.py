@@ -17,7 +17,6 @@ from kurasteer import (
     CircleGrid,
     ControlMode,
     ControlSet,
-    ControlShape,
     CostWeights,
     CouplingParams,
     OcpProblem,
@@ -85,7 +84,7 @@ def coarse_problem(mode, n_theta=64, n_t=200, T=1.0, initial=ControlSet()):
     q0 = DensitySpec(kind="wrapped_gaussian", mean=np.pi / 2, sigma=0.8).build(grid)
     zf = DensitySpec(kind="wrapped_gaussian", mean=3 * np.pi / 2, sigma=0.4).build(grid)
     return OcpProblem(
-        grid=grid, tgrid=tgrid, params=params, mode=mode, shape=ControlShape.SPACE_TIME,
+        grid=grid, tgrid=tgrid, params=params, mode=mode,
         weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0,
         target=Trajectory.from_field(zf, tgrid), initial=initial,
     )
@@ -137,7 +136,7 @@ def test_criterion_04_mass_conservation(scenario, baseline_run):
     # mass guard built into solve_state, and the accepted state is checked here
     prob = OcpProblem(
         grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-        shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+        weights=CostWeights(),
         optimizer=OptimizerConfig(max_iters=3), q0=q0,
         target=Trajectory.from_field(target, tgrid),
     )
@@ -219,7 +218,7 @@ def velocity_problem(scenario, tgrid, max_iters):
     grid, params, q0, target = scenario
     return OcpProblem(
         grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-        shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+        weights=CostWeights(),
         optimizer=OptimizerConfig(max_iters=max_iters), q0=q0,
         target=Trajectory.from_field(target, tgrid),
     )
@@ -310,7 +309,7 @@ def test_criterion_09_interaction_mode_end_to_end(scenario, baseline_run):
     )
     prob = OcpProblem(
         grid=grid, tgrid=tgrid, params=params, mode=ControlMode.INTERACTION,
-        shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+        weights=CostWeights(),
         optimizer=OptimizerConfig(max_iters=200), q0=q0,
         target=Trajectory.from_field(target, tgrid), initial=ControlSet(u2=u2_init),
     )

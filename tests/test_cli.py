@@ -52,7 +52,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         cfg = load_config()
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^unknown config key 'physics\.mass'$"):
             apply_override(cfg, "physics.mass", 1.0)
 
     def test_user_file_merge(self, tmp_path):
@@ -180,7 +180,8 @@ class TestConfig:
             ('weights={"alpha_r":0,"alpha_t":0}', "weights.alpha_r and alpha_t, the tracking weights, are both 0"),
             # a choice names its key and the choices
             ("mode=bogus", "mode must be one of 'velocity', 'interaction', 'linear_source', 'joint', got 'bogus'"),
-            ("shape=nope", "shape must be one of 'space_time', 'space_only', 'time_only', 'constant', got 'nope'"),
+            # every control is a space-time field, so there is no shape to choose
+            ("shape=space_time", "unknown config key 'shape'"),
             # a seed is a whole number >= 0, from the config or from --seed
             ("seed=-1", "seed must be >= 0, got -1"),
             (("--seed", "-2"), "seed must be >= 0, got -2"),
@@ -189,9 +190,10 @@ class TestConfig:
             ("output_dir=null", "output_dir must be a string, got None"),
             ("initial_controls.u1_file=5", "initial_controls.u1_file must be a string, got 5"),
             ("initial_controls.u1_file=true", "initial_controls.u1_file must be a string, got True"),
-            # an override is key=value, and its sections exist
+            # an override is key=value, and its sections and keys exist
             ("physics.D", "override 'physics.D' is not of the form key=value"),
             ("physic.D=0.1", "unknown config section 'physic' in override 'physic.D'"),
+            ("physics.typo=1", "unknown config key 'physics.typo'"),
         ],
     )
     def test_mistyped_setting_hard_error(self, tmp_path, monkeypatch, capsys, override, field):
@@ -201,7 +203,10 @@ class TestConfig:
         args = list(override) if isinstance(override, tuple) else ["--set", override]
         code = main(["simulate", *FAST, *args])
         assert code == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        if field.startswith("unknown config"):  # the whole line, which a KeyError would quote
+            assert f"error: {field}" in err.splitlines()
         assert not list(tmp_path.iterdir())
 
     OPT_FAST = [
@@ -453,14 +458,6 @@ class TestOptimize:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "stalled"
 
-    def test_space_only_shape_from_config(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["optimize", "--out", str(out), *OPT_FAST,
-                     "--set", "shape=space_only"]) == 0
-        from kurasteer.outputs import read_field_file
-        _, u1 = read_field_file(out / "control_u1.f64")
-        assert np.max(np.abs(u1 - u1[0][None, :])) == 0.0
-
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["optimize", *OPT_FAST, "--seed", "11",
@@ -686,3 +683,17 @@ class TestPackage:
                     assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {module}"
         with open(root / "pyproject.toml", "rb") as fh:
             assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=2.0"]
+
+    def test_readme_library_example_runs(self, capsys):
+        # the README's library example, on a coarse problem with two iterations
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        coarse = {"CircleGrid(128), TimeGrid(10.0, 2000)": "CircleGrid(32), TimeGrid(1.0, 100)",
+                  "max_iters=100": "max_iters=2"}
+        for full, small in coarse.items():
+            assert full in block
+            block = block.replace(full, small)
+        exec(compile(block, "README.md", "exec"), {})
+        status, J, R = capsys.readouterr().out.split()
+        assert status == "max_iters"
+        assert np.isfinite(float(J)) and 0.0 <= float(R) <= 1.0

@@ -9,7 +9,6 @@ from kurasteer import (
     CircleGrid,
     ControlMode,
     ControlSet,
-    ControlShape,
     CostWeights,
     CouplingParams,
     Field,
@@ -41,7 +40,6 @@ from kurasteer.optimizer import (
     _evaluate,
     _probe_costs,
     _smooth_direction,
-    shape_project,
     sobolev,
     space_time_inner,
 )
@@ -80,7 +78,6 @@ class TestWeightsAndConfig:
         with pytest.raises(ValueError, match="alpha_r"):
             OcpProblem(
                 grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-                shape=ControlShape.SPACE_TIME,
                 weights=CostWeights(alpha_r=0.0, alpha_t=0.0),
                 optimizer=OptimizerConfig(), q0=q0, target=z,
             )
@@ -90,7 +87,7 @@ class TestWeightsAndConfig:
         with pytest.raises(ValueError, match="u1"):
             OcpProblem(
                 grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-                shape=ControlShape.SPACE_TIME, weights=CostWeights(beta1=0.0),
+                weights=CostWeights(beta1=0.0),
                 optimizer=OptimizerConfig(), q0=q0, target=z,
             )
 
@@ -107,7 +104,7 @@ class TestWeightsAndConfig:
         with pytest.raises(ValueError, match=message):
             OcpProblem(
                 grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-                shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+                weights=CostWeights(),
                 optimizer=OptimizerConfig(), **{"q0": q0, "target": z, field: off_grid},
             )
 
@@ -139,7 +136,7 @@ class TestModeInvariants:
         grid, tgrid, params, q0, z = small_setup()
         return OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=mode,
-            shape=ControlShape.SPACE_TIME, weights=weights,
+            weights=weights,
             optimizer=OptimizerConfig(), q0=q0, target=z,
         )
 
@@ -285,33 +282,13 @@ class TestReducedGradient:
         assert np.array_equal(g_joint["u1"], g_vel["u1"])
         assert np.array_equal(g_joint["u2"], g_int["u2"])
 
-    def test_space_only_projection_is_weighted_time_average(self, rng):
-        grid, tgrid, params, q0, z = small_setup()
-        arr = rng.standard_normal((tgrid.n_t + 1, grid.n_theta))
-        proj = shape_project(arr, ControlShape.SPACE_ONLY, tgrid)
-        wt = tgrid.trapezoid_weights
-        expected = wt @ arr / wt.sum()
-        assert np.max(np.abs(proj - expected[None, :])) <= 1e-14
-        assert np.all(proj == proj[0])  # constant in time
-
-    def test_projection_is_orthogonal(self, rng):
-        grid, tgrid, params, q0, z = small_setup()
-        a = rng.standard_normal((tgrid.n_t + 1, grid.n_theta))
-        for shape in ControlShape:
-            pa = shape_project(a, shape, tgrid)
-            # idempotent and self-adjoint in the weighted inner product
-            assert np.max(np.abs(shape_project(pa, shape, tgrid) - pa)) <= 1e-13
-            b = rng.standard_normal(a.shape)
-            lhs = space_time_inner(grid, tgrid, pa, b)
-            rhs = space_time_inner(grid, tgrid, a, shape_project(b, shape, tgrid))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestGradientCheck:
-    def make_problem(self, mode, shape=ControlShape.SPACE_TIME, n_t=100):
+    def make_problem(self, mode, n_t=100):
         grid, tgrid, params, q0, z = small_setup(n_theta=32, n_t=n_t, T=0.5)
         return OcpProblem(
-            grid=grid, tgrid=tgrid, params=params, mode=mode, shape=shape,
+            grid=grid, tgrid=tgrid, params=params, mode=mode,
             weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0, target=z,
         )
 
@@ -324,30 +301,33 @@ class TestGradientCheck:
         for d in report.directions:
             assert d.min_rel_error <= 1e-3
 
-    def test_restricted_shapes_pass(self):
-        # start from a rotating control so the restricted gradients are nonzero
-        # (at baseline the time-only gradient vanishes by mirror symmetry)
-        for shape in (ControlShape.SPACE_ONLY, ControlShape.TIME_ONLY, ControlShape.CONSTANT):
-            prob = self.make_problem(ControlMode.VELOCITY, shape=shape)
-            u1 = Trajectory.constant(prob.grid, prob.tgrid, 0.4)
-            prob = OcpProblem(
-                grid=prob.grid, tgrid=prob.tgrid, params=prob.params, mode=prob.mode,
-                shape=shape, weights=prob.weights, optimizer=prob.optimizer,
-                q0=prob.q0, target=prob.target, initial=ControlSet(u1=u1),
-            )
-            report = gradient_check(prob, n_directions=2, seed=3)
-            assert report.passed, shape
-            assert any(abs(d.adjoint_value) > 1e-6 for d in report.directions)
-
-    def test_symmetric_baseline_time_only_is_stationary(self):
-        # mirror symmetry kills the theta-averaged gradient; both adjoint and
-        # FD agree on zero and the check reports degenerate directions as such
-        report = gradient_check(
-            self.make_problem(ControlMode.VELOCITY, shape=ControlShape.TIME_ONLY),
-            n_directions=2, seed=3,
-        )
+    @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.JOINT])
+    def test_passes_from_a_rotating_control(self, mode):
+        # away from the baseline the gradient reads the control's own energy
+        # term and the state it drives, not only the uncontrolled state's
+        prob = self.make_problem(mode)
+        prob = dataclasses.replace(prob, initial=ControlSet(u1=Trajectory.constant(prob.grid, prob.tgrid, 0.4)))
+        report = gradient_check(prob, n_directions=2, seed=3)
         assert report.passed
-        assert all(abs(d.adjoint_value) < 1e-12 for d in report.directions)
+        assert all(abs(d.adjoint_value) > 1e-6 for d in report.directions)
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_stationary_problem_reads_zero(self, K):
+        # the uniform density as both start and target, with no source: the
+        # state stays uniform, J and its gradient are 0, and the adjoint and
+        # FD agree on a zero derivative in every direction
+        grid, tgrid = CircleGrid(32), TimeGrid(0.5, 100)
+        uniform = Field(grid, np.full(grid.n_theta, 1.0 / TWO_PI))
+        prob = OcpProblem(
+            grid=grid, tgrid=tgrid, params=CouplingParams(D=0.25, K=K), mode=ControlMode.LINEAR_SOURCE,
+            weights=CostWeights(), optimizer=OptimizerConfig(), q0=uniform,
+            target=Trajectory.from_field(uniform, tgrid),
+        )
+        report = gradient_check(prob, n_directions=2, seed=3)
+        assert report.passed
+        for d in report.directions:
+            assert d.adjoint_value == 0.0
+            assert d.rel_errors == (0.0,) * len(optimizer.EPS_SWEEP)
 
     def test_tampered_gradient_fails(self, shift_gradient, passing_checks):
         # every direction has a random space-time mean, so a uniform gradient
@@ -450,10 +430,10 @@ def stored_smooth_direction(rng, grid, tgrid):
     return out
 
 
-def draw_directions(shape, grid, tgrid, n_dirs, rng):
+def draw_directions(grid, tgrid, n_dirs, rng):
     dirs = Directions.empty(n_dirs, grid, tgrid)
     for d in range(n_dirs):
-        _smooth_direction(rng, grid, tgrid, shape, dirs, d)
+        _smooth_direction(rng, grid, tgrid, dirs, d)
     return dirs
 
 
@@ -485,12 +465,12 @@ def per_direction_probe_costs(problem, u0, deltas, steps):
 class TestDirections:
     """gradient_check keeps each direction as its draws and makes its rows
     where they are read: every row must be the stored direction's, bit for
-    bit, and a restricted shape's the projection of it."""
+    bit."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_rows_bit_equal_to_the_stored_direction(self, seed):
         grid, tgrid = CircleGrid(32), TimeGrid(0.5, ROW_BLOCK + 40)  # two row blocks
-        dirs = draw_directions(ControlShape.SPACE_TIME, grid, tgrid, 4, random.Random(seed))
+        dirs = draw_directions(grid, tgrid, 4, random.Random(seed))
         rng = random.Random(seed)
         stored = np.stack([stored_smooth_direction(rng, grid, tgrid) for _ in range(4)])
         assert np.array_equal(histories(dirs), stored)
@@ -502,20 +482,6 @@ class TestDirections:
         for k in (0, ROW_BLOCK, tgrid.n_t):  # row k of every direction, as the probes read it
             assert np.array_equal(dirs.rows(slice(None), slice(k, k + 1), row)[:, 0], stored[:, k])
 
-    @pytest.mark.parametrize("shape", [ControlShape.SPACE_ONLY, ControlShape.TIME_ONLY, ControlShape.CONSTANT])
-    def test_projected_draws_are_the_projected_direction(self, shape):
-        grid, tgrid = CircleGrid(32), TimeGrid(0.5, 100)
-        dirs = draw_directions(shape, grid, tgrid, 4, random.Random(0))
-        rng = random.Random(0)
-        for history in histories(dirs):
-            projected = shape_project(stored_smooth_direction(rng, grid, tgrid), shape, tgrid)
-            assert np.max(np.abs(history - projected)) <= 1e-14
-            # and exactly in the shape's subspace: constant in t, in theta, or both
-            if shape is not ControlShape.TIME_ONLY:
-                assert (history == history[0]).all()
-            if shape is not ControlShape.SPACE_ONLY:
-                assert (history == history[:, :1]).all()
-
 
 class TestStreamedProbes:
     """gradient_check solves every probe u0 + s*delta of a mode in one state
@@ -525,17 +491,16 @@ class TestStreamedProbes:
     STEPS = np.array([0.1, 1e-3, -0.1, -1e-3])
 
     @staticmethod
-    def setup_probes(mode, alpha=0.0, shape=ControlShape.SPACE_TIME, n_dirs=2, seed=0):
+    def setup_probes(mode, alpha=0.0, u1=None, n_dirs=2, seed=0):
         grid, tgrid, _, q0, z = small_setup(n_theta=32, n_t=100, T=0.5)
-        restricted = shape is not ControlShape.SPACE_TIME
         problem = OcpProblem(
             grid=grid, tgrid=tgrid, params=CouplingParams(alpha=alpha, D=0.25, K=1.0), mode=mode,
-            shape=shape, weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0, target=z,
-            initial=ControlSet(u1=Trajectory.constant(grid, tgrid, 0.4)) if restricted else ControlSet(),
+            weights=CostWeights(), optimizer=OptimizerConfig(), q0=q0, target=z,
+            initial=ControlSet() if u1 is None else ControlSet(u1=Trajectory.constant(grid, tgrid, u1)),
         )
         rng = random.Random(seed)
         u0 = _baseline_arrays(problem)
-        deltas = {n: draw_directions(shape, grid, tgrid, n_dirs, rng) for n in u0}
+        deltas = {n: draw_directions(grid, tgrid, n_dirs, rng) for n in u0}
         return problem, u0, deltas
 
     @staticmethod
@@ -559,9 +524,8 @@ class TestStreamedProbes:
     def test_each_cost_bit_equal_to_its_own_solve(self, mode, alpha):
         self.assert_costs_are_single_solves(*self.setup_probes(mode, alpha))
 
-    @pytest.mark.parametrize("shape", [ControlShape.SPACE_ONLY, ControlShape.TIME_ONLY, ControlShape.CONSTANT])
-    def test_restricted_shape_cost_bit_equal_to_its_own_solve(self, shape):
-        self.assert_costs_are_single_solves(*self.setup_probes(ControlMode.VELOCITY, 0.5, shape))
+    def test_cost_from_a_rotating_control_bit_equal_to_its_own_solve(self):
+        self.assert_costs_are_single_solves(*self.setup_probes(ControlMode.VELOCITY, 0.5, u1=0.4))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("mode", list(ControlMode))
@@ -702,7 +666,7 @@ class TestMemory:
 
         def directions(n_dirs):
             rng = random.Random(0)
-            return {n: draw_directions(ControlShape.SPACE_TIME, grid, tgrid, n_dirs, rng) for n in u0}
+            return {n: draw_directions(grid, tgrid, n_dirs, rng) for n in u0}
 
         def growth(peaks):
             return (peaks[1] - peaks[0]) / 8 / (201 * 64 * 8)
@@ -822,13 +786,6 @@ class TestSobolev:
         # M^-1 damps mode k by 1 + k**2: the direction is smoother than the gradient
         assert np.max(np.abs(e)) < np.max(np.abs(a))
 
-    @pytest.mark.parametrize("shape", list(ControlShape))
-    def test_inverse_commutes_with_shape_project(self, shape):
-        grid, tgrid, a, _ = self.histories(601)
-        projected_first = sobolev(grid, shape_project(a, shape, tgrid), True)
-        projected_last = shape_project(sobolev(grid, a, True), shape, tgrid)
-        assert np.max(np.abs(projected_first - projected_last)) <= 1e-14 * np.max(np.abs(a))
-
 
 class TestOptimize:
     def test_immediate_return_at_stationary_point(self):
@@ -837,7 +794,7 @@ class TestOptimize:
         z = solve_state(q0, ControlSet(), params, tgrid)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(), q0=q0, target=z,
         )
         res = optimize(prob)
@@ -854,7 +811,6 @@ class TestOptimize:
         u1 = Trajectory.constant(grid, tgrid, c)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME,
             weights=CostWeights(alpha_r=0.0, alpha_t=1e-30),
             optimizer=OptimizerConfig(max_iters=15),
             q0=q0, target=z, initial=ControlSet(u1=u1),
@@ -868,7 +824,7 @@ class TestOptimize:
         grid, tgrid, params, q0, z = small_setup()
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.LINEAR_SOURCE,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=0), q0=q0, target=z,
             initial=ControlSet(source=Trajectory.constant(grid, tgrid, -0.5)),
         )
@@ -880,7 +836,7 @@ class TestOptimize:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=10), q0=q0, target=z,
         )
         res = optimize(prob)
@@ -897,7 +853,7 @@ class TestOptimize:
         start = ControlSet(u1=Trajectory(grid, tgrid, 0.4 + 0.2 * np.cos(grid.theta)[None, :] * tgrid.times[:, None]))
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=10), q0=q0, target=z, initial=start,
         )
         res = optimize(prob)
@@ -912,7 +868,7 @@ class TestOptimize:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=10), q0=q0, target=z,
         )
         res = optimize(prob)
@@ -926,7 +882,7 @@ class TestOptimize:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=8), q0=q0, target=z,
         )
         full = optimize(prob).iterates
@@ -938,23 +894,11 @@ class TestOptimize:
         decreases = [(a.J - b.J) / a.J for a, b in zip(full, full[1:])]
         assert min(decreases[:3]) > 0.1 >= decreases[3]
 
-    def test_space_only_stays_in_subspace(self):
-        grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
-        prob = OcpProblem(
-            grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_ONLY, weights=CostWeights(),
-            optimizer=OptimizerConfig(max_iters=5), q0=q0, target=z,
-        )
-        res = optimize(prob)
-        u1 = res.controls.u1.data
-        assert np.max(np.abs(u1 - u1[0][None, :])) == 0.0
-        assert res.final.J < res.iterates[0].J
-
     def test_linear_source_mode_descends(self):
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.LINEAR_SOURCE,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=5), q0=q0, target=z,
         )
         # the source drives the optimized state to -4.855e-2 (a known defect)
@@ -967,7 +911,7 @@ class TestOptimize:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=100, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.JOINT,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=5), q0=q0, target=z,
         )
         res = optimize(prob)
@@ -984,12 +928,12 @@ class TestOptimize:
         opt = OptimizerConfig(max_iters=8)
         base = optimize(OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(), optimizer=opt,
+            weights=CostWeights(), optimizer=opt,
             q0=q0, target=z,
         ))
         rot = optimize(OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(), optimizer=opt,
+            weights=CostWeights(), optimizer=opt,
             q0=q0_s, target=z_s,
         ))
         rolled = np.roll(base.controls.u1.data, shift, axis=1)
@@ -1015,7 +959,7 @@ class TestOptimize:
         monkeypatch.setattr(optimizer, "solve_adjoint", counted("adjoint", solve_adjoint))
         res = optimize(OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=max_iters), q0=q0, target=z,
         ))
         accepted = len(res.iterates) - 1
@@ -1052,7 +996,7 @@ class TestBacktracking:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=200, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=1), q0=q0, target=z,
         )
         tried, costs = [], []
@@ -1076,7 +1020,7 @@ class TestBacktracking:
         cs, q, (j0, _, _) = _evaluate(prob, u0)
         weights = prob.weights
         p = solve_adjoint(q, z, cs, params, (weights.alpha_r, weights.alpha_t))
-        g = reduced_gradient(q, p, cs, weights, prob.mode, params, prob.shape)
+        g = reduced_gradient(q, p, cs, weights, prob.mode, params)
         e = {"u1": sobolev(grid, g["u1"], True)}
         assert np.array_equal(u1["u1"], self.candidate(prob, u0, e, self.S0))
 
@@ -1103,7 +1047,7 @@ class TestBacktracking:
         grid, tgrid, params, q0, z = small_setup(n_theta=64, n_t=200, T=1.0)
         prob = OcpProblem(
             grid=grid, tgrid=tgrid, params=params, mode=ControlMode.VELOCITY,
-            shape=ControlShape.SPACE_TIME, weights=CostWeights(),
+            weights=CostWeights(),
             optimizer=OptimizerConfig(max_iters=1), q0=q0, target=z,
         )
         at_cap = Trajectory.constant(grid, tgrid, _advective_caps(prob)["u1"])
