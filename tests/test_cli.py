@@ -458,6 +458,14 @@ class TestOptimize:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["status"] == "stalled"
 
+    def test_written_control_is_a_space_time_field(self, tmp_path):
+        # the optimized control varies in both time and angle, as the paper's fields do
+        out = tmp_path / "run"
+        assert main(["optimize", "--out", str(out), *OPT_FAST]) == 0
+        _, u1 = read_field_file(out / "control_u1.f64")
+        assert np.max(np.abs(u1 - u1[0][None, :])) > 1e-3
+        assert np.max(np.abs(u1 - u1[:, :1])) > 1e-3
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["optimize", *OPT_FAST, "--seed", "11",

@@ -482,6 +482,17 @@ class TestDirections:
         for k in (0, ROW_BLOCK, tgrid.n_t):  # row k of every direction, as the probes read it
             assert np.array_equal(dirs.rows(slice(None), slice(k, k + 1), row)[:, 0], stored[:, k])
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_directions_are_band_limited(self, seed):
+        # angular modes below 7 only, and the directions reach the fields
+        # that vary in time and those that vary in angle
+        grid, tgrid = CircleGrid(64), TimeGrid(0.5, 100)
+        stored = histories(draw_directions(grid, tgrid, 4, random.Random(seed)))
+        coef = np.abs(np.fft.rfft(stored, axis=2))
+        assert np.max(coef[:, :, 7:]) <= 1e-12 * np.max(coef)
+        assert np.max(np.abs(stored - stored[:, :1])) > 1e-3
+        assert np.max(np.abs(stored - stored[:, :, :1])) > 1e-3
+
 
 class TestStreamedProbes:
     """gradient_check solves every probe u0 + s*delta of a mode in one state
@@ -770,7 +781,7 @@ class TestSobolev:
 
     @pytest.mark.parametrize("n_theta", [16, 64, 128])
     def test_rows_constant_in_theta_are_kept(self, n_theta):
-        # exactly, so time-only and constant controls stay in their subspace
+        # exactly: M and M^-1 act on the angle only, and a uniform row has no angular mode
         grid, tgrid, a, _ = self.histories(601, n_theta)
         const = np.broadcast_to(a[:, :1], a.shape).copy()
         assert np.array_equal(sobolev(grid, const, True), const)
@@ -785,6 +796,25 @@ class TestSobolev:
         assert np.max(np.abs(sobolev(grid, e, False) - a)) <= condition * np.finfo(float).eps * np.max(np.abs(a))
         # M^-1 damps mode k by 1 + k**2: the direction is smoother than the gradient
         assert np.max(np.abs(e)) < np.max(np.abs(a))
+
+    @pytest.mark.parametrize("shift", [1, 5, 16])
+    def test_inverse_commutes_with_rotation(self, shift):
+        # the direction of a rotated gradient is the rotated direction
+        grid, _, a, _ = self.histories(601)
+        rotated_first = sobolev(grid, np.roll(a, shift, axis=1), True)
+        rotated_last = np.roll(sobolev(grid, a, True), shift, axis=1)
+        assert np.max(np.abs(rotated_first - rotated_last)) <= 1e-14 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("n_rows", TestRowBlocks.ROWS)
+    def test_inverse_commutes_with_time_operations(self, n_rows):
+        # M^-1 acts on each time row alone, across row blocks: it commutes
+        # with reversing time and with the weighted time average
+        grid, tgrid, a, _ = self.histories(n_rows)
+        e, w = sobolev(grid, a, True), tgrid.trapezoid_weights
+        scale = 1e-14 * np.max(np.abs(a))
+        assert np.max(np.abs(sobolev(grid, a[::-1].copy(), True) - e[::-1])) <= scale
+        averaged_first = sobolev(grid, (w @ a / w.sum())[None, :], True)[0]
+        assert np.max(np.abs(averaged_first - w @ e / w.sum())) <= scale
 
 
 class TestOptimize:
@@ -938,6 +968,31 @@ class TestOptimize:
         ))
         rolled = np.roll(base.controls.u1.data, shift, axis=1)
         assert np.max(np.abs(rot.controls.u1.data - rolled)) <= 1e-6
+
+    @pytest.mark.parametrize("mode", [ControlMode.VELOCITY, ControlMode.JOINT])
+    def test_mirror_symmetry_is_kept(self, mode):
+        # at alpha = 0, q0 and target even about theta = 0: the optimized
+        # velocity stays odd and the interaction strength even, on the grid's
+        # mirror theta_j -> theta_{-j}
+        grid, tgrid = CircleGrid(32), TimeGrid(0.5, 60)
+        q0 = DensitySpec(kind="wrapped_gaussian", mean=0.0, sigma=0.8).build(grid)
+        zf = DensitySpec(kind="wrapped_gaussian", mean=0.0, sigma=0.4).build(grid)
+        res = optimize(OcpProblem(
+            grid=grid, tgrid=tgrid, params=CouplingParams(D=0.25, K=1.0), mode=mode,
+            weights=CostWeights(), optimizer=OptimizerConfig(max_iters=8),
+            q0=q0, target=Trajectory.from_field(zf, tgrid),
+        ))
+        assert res.final.J < 0.1 * res.iterates[0].J
+
+        def mirrored(arr):
+            return np.roll(arr[:, ::-1], 1, axis=1)
+
+        u1 = res.controls.u1.data
+        assert np.max(np.abs(u1 + mirrored(u1))) <= 1e-9 * np.max(np.abs(u1))
+        if mode is ControlMode.JOINT:
+            u2 = res.controls.u2.data
+            assert np.max(np.abs(u2 - mirrored(u2))) <= 1e-9 * np.max(np.abs(u2))
+            assert np.max(np.abs(u2 - 1.0)) > 0.1
 
     @pytest.mark.parametrize("max_iters, resolves", [(6, 0), (10, 1)], ids=["gd", "stalled"])
     def test_solve_counts(self, max_iters, resolves, monkeypatch, request):
